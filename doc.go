@@ -110,11 +110,13 @@
 //     run) form;
 //
 //   - internal/logicsim: gate-level logic simulation on the Time Warp
-//     kernel. Config.Vectors switches every gate LP to bit-parallel
-//     evaluation — signal events carry the packed planes in the kernel's
-//     wide payload block, one committed event advances 64 scenarios, and
-//     lane s is bit-identical to a scalar run with StimulusSeed+s
-//     (rollbacks, migration and TCP transport included);
+//     kernel. Every gate is one LP type, generic over its value
+//     representation: scalar (circuit.Value, carried in the event's Value
+//     field) or, with Config.Vectors, bit-parallel (circuit.VecValue,
+//     carried as packed planes in the kernel's wide payload block, so one
+//     committed event advances 64 scenarios). Lane s of a vectored run is
+//     bit-identical to a scalar run with StimulusSeed+s (rollbacks,
+//     migration and TCP transport included);
 //
 //   - internal/experiments: harnesses regenerating every table and figure
 //     of the paper's evaluation.

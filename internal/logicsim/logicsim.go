@@ -8,7 +8,9 @@
 package logicsim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/circuit"
@@ -169,54 +171,137 @@ type Result struct {
 
 // shared holds the immutable tables every gate LP reads.
 type shared struct {
-	c      *circuit.Circuit
-	cfg    Config
-	outIdx map[int]int // gate ID -> primary output index
+	c   *circuit.Circuit
+	cfg Config
 }
 
-// gateState is the mutable, snapshot-able state of one gate LP.
-type gateState struct {
-	inputs []circuit.Value
-	out    circuit.Value
-	ff     circuit.Value
-	hist   uint64 // cumulative output-history contribution of this LP
+// lanes is the set of operations that differ between the scalar and the
+// vectored gate LP. It is implemented by the zero-size types scalar (V =
+// circuit.Value, one scenario) and vector (V = circuit.VecValue, circuit.W
+// scenarios in packed planes); everything else about a gate LP is written
+// once, over lane masks, with scalar as a one-lane vector.
+type lanes[V any] interface {
+	width() int
+	allX() V
+	// diff returns the mask of lanes whose values differ between a and b.
+	diff(a, b V) uint64
+	lane(v V, i int) circuit.Value
+	eval(t circuit.GateType, in []V) V
+	stimulus(seed int64, input, cycle int) V
+	// recv and send move a signal value through an event.
+	recv(ev *timewarp.Event) V
+	send(ctx *timewarp.Context, to timewarp.LPID, t timewarp.Time, v V)
+	// size, put and get are the fixed-width value codec of EncodeState.
+	size() int
+	put(buf []byte, v V) []byte
+	get(b []byte) (V, error)
 }
 
-func (s *gateState) clone() gateState {
-	return gateState{
-		inputs: append([]circuit.Value(nil), s.inputs...),
-		out:    s.out,
-		ff:     s.ff,
-		hist:   s.hist,
+// scalar carries one scenario per gate. Signals ride in Event.Value, so the
+// wide payload stays zero and scalar frames stay narrow on the wire.
+type scalar struct{}
+
+func (scalar) width() int          { return 1 }
+func (scalar) allX() circuit.Value { return circuit.X }
+func (scalar) diff(a, b circuit.Value) uint64 {
+	if a != b {
+		return 1
 	}
+	return 0
+}
+func (scalar) lane(v circuit.Value, _ int) circuit.Value { return v }
+func (scalar) eval(t circuit.GateType, in []circuit.Value) circuit.Value {
+	return circuit.Eval(t, in)
+}
+func (scalar) stimulus(seed int64, input, cycle int) circuit.Value {
+	return seqsim.StimulusBit(seed, input, cycle)
+}
+func (scalar) recv(ev *timewarp.Event) circuit.Value { return circuit.Value(ev.Value) }
+func (scalar) send(ctx *timewarp.Context, to timewarp.LPID, t timewarp.Time, v circuit.Value) {
+	ctx.Send(to, t, kindSignal, int32(v))
+}
+func (scalar) size() int                              { return 1 }
+func (scalar) put(buf []byte, v circuit.Value) []byte { return append(buf, byte(v)) }
+func (scalar) get(b []byte) (circuit.Value, error) {
+	if v := circuit.Value(b[0]); v <= circuit.Z {
+		return v, nil
+	}
+	return circuit.X, fmt.Errorf("value byte %d out of range", b[0])
 }
 
-// gateLP is the timewarp.Handler for one gate.
-type gateLP struct {
+// vector carries circuit.W scenarios per gate (lane s driven by
+// StimulusSeed+s). Signals ship the val/unknown planes in the kernel's wide
+// payload block.
+type vector struct{}
+
+func (vector) width() int                                   { return circuit.W }
+func (vector) allX() circuit.VecValue                       { return circuit.BroadcastVec(circuit.X) }
+func (vector) diff(a, b circuit.VecValue) uint64            { return a.Diff(b) }
+func (vector) lane(v circuit.VecValue, i int) circuit.Value { return v.Lane(i) }
+func (vector) eval(t circuit.GateType, in []circuit.VecValue) circuit.VecValue {
+	return circuit.EvalVec(t, in)
+}
+func (vector) stimulus(seed int64, input, cycle int) circuit.VecValue {
+	return seqsim.StimulusVec(seed, input, cycle)
+}
+func (vector) recv(ev *timewarp.Event) circuit.VecValue {
+	return circuit.VecValue{Val: ev.Pay.P0, Unknown: ev.Pay.P1}
+}
+func (vector) send(ctx *timewarp.Context, to timewarp.LPID, t timewarp.Time, v circuit.VecValue) {
+	ctx.SendP(to, t, kindSignal, 0, timewarp.Payload{P0: v.Val, P1: v.Unknown})
+}
+func (vector) size() int { return 16 }
+func (vector) put(buf []byte, v circuit.VecValue) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, v.Val), v.Unknown)
+}
+func (vector) get(b []byte) (circuit.VecValue, error) {
+	v := circuit.VecValue{Val: binary.LittleEndian.Uint64(b), Unknown: binary.LittleEndian.Uint64(b[8:])}
+	if v.Val&v.Unknown != 0 {
+		return v, fmt.Errorf("non-canonical planes %#x/%#x", v.Val, v.Unknown)
+	}
+	return v, nil
+}
+
+// gateState is the mutable, snapshot-able state of one gate LP. hist holds
+// one output-history term per lane and is allocated only for primary-output
+// gates (nil otherwise), so snapshots of interior gates stay small.
+type gateState[V any] struct {
+	inputs []V
+	out    V
+	ff     V
+	hist   []uint64
+}
+
+// gateLP is the timewarp.Handler for one gate: gateLP[circuit.Value, scalar]
+// in scalar runs, gateLP[circuit.VecValue, vector] in vectored ones.
+type gateLP[V any, L lanes[V]] struct {
 	sim      *shared
 	id       int
 	typ      circuit.GateType
-	inputIdx int           // index in c.Inputs for Input gates, else -1
-	pins     map[int][]int // driver gate ID -> input pin indices
-	fanout   []int         // deduplicated fanout gate IDs
+	inputIdx int   // index in c.Inputs, or -1
+	outIdx   int   // index in c.Outputs, or -1
+	fanin    []int // driver gate ID per input pin
+	fanout   []int // deduplicated fanout gate IDs
 	delay    int64
-	st       gateState
+	st       gateState[V]
 	// snapFree pools discarded state snapshots (refilled by the kernel via
 	// RecycleState); each LP runs on one cluster goroutine, so no locking.
-	snapFree []*gateState
+	snapFree []*gateState[V]
 }
 
-func newGateLP(sim *shared, g *circuit.Gate, inputIdx int) *gateLP {
-	lp := &gateLP{
+func newGateLP[V any, L lanes[V]](sim *shared, g *circuit.Gate, inputIdx, outIdx int) *gateLP[V, L] {
+	var ops L
+	lp := &gateLP[V, L]{
 		sim:      sim,
 		id:       g.ID,
 		typ:      g.Type,
 		inputIdx: inputIdx,
-		pins:     make(map[int][]int, len(g.Fanin)),
+		outIdx:   outIdx,
+		fanin:    g.Fanin,
 		delay:    seqsim.GateDelay(g),
 	}
-	for pin, src := range g.Fanin {
-		lp.pins[src] = append(lp.pins[src], pin)
+	if outIdx >= 0 {
+		lp.st.hist = make([]uint64, ops.width())
 	}
 	seen := make(map[int]struct{}, len(g.Fanout))
 	for _, d := range g.Fanout {
@@ -226,12 +311,12 @@ func newGateLP(sim *shared, g *circuit.Gate, inputIdx int) *gateLP {
 		seen[d] = struct{}{}
 		lp.fanout = append(lp.fanout, d)
 	}
-	lp.st.inputs = make([]circuit.Value, len(g.Fanin))
+	lp.st.inputs = make([]V, len(g.Fanin))
 	for i := range lp.st.inputs {
-		lp.st.inputs[i] = circuit.X
+		lp.st.inputs[i] = ops.allX()
 	}
-	lp.st.out = circuit.X
-	lp.st.ff = circuit.X
+	lp.st.out = ops.allX()
+	lp.st.ff = ops.allX()
 	return lp
 }
 
@@ -239,7 +324,7 @@ func newGateLP(sim *shared, g *circuit.Gate, inputIdx int) *gateLP {
 // primary inputs (cycle 0, unless a hotspot window excludes this input until
 // later), the cycle-0 clock edge for flip-flops. Subsequent cycles chain
 // from Execute so the pending queues stay small.
-func (lp *gateLP) Init(ctx *timewarp.Context) {
+func (lp *gateLP[V, L]) Init(ctx *timewarp.Context) {
 	switch lp.typ {
 	case circuit.Input:
 		if first := lp.nextStimulusCycle(0); first >= 0 {
@@ -252,23 +337,29 @@ func (lp *gateLP) Init(ctx *timewarp.Context) {
 
 // nextStimulusCycle returns this input LP's first stimulus cycle at or after
 // `from`, or -1; the shared schedule keeps parallel runs oracle-identical.
-func (lp *gateLP) nextStimulusCycle(from int) int {
+func (lp *gateLP[V, L]) nextStimulusCycle(from int) int {
 	cfg := &lp.sim.cfg
 	return seqsim.NextStimulusCycle(from, cfg.Cycles, cfg.StimulusEvery,
 		len(lp.sim.c.Inputs), lp.inputIdx, cfg.Hotspot, cfg.HotspotFraction)
 }
 
-// Execute implements the shared timestep semantics: apply every arrival,
-// then evaluate once with final inputs.
-func (lp *gateLP) Execute(ctx *timewarp.Context, now timewarp.Time, events []timewarp.Event) {
+// Execute implements the shared timestep semantics over every lane at once:
+// apply every arrival, then evaluate once with final inputs. An event fires
+// downstream when any lane changed; a lane whose component is unchanged sees
+// a no-op, which is what keeps each lane bit-identical to its scalar run.
+func (lp *gateLP[V, L]) Execute(ctx *timewarp.Context, now timewarp.Time, events []timewarp.Event) {
+	var ops L
 	cfg := &lp.sim.cfg
-	stimulus := false
-	clocked := false
-	for _, ev := range events {
+	var stimulus, clocked bool
+	for i := range events {
+		ev := &events[i]
 		switch ev.Kind {
 		case kindSignal:
-			for _, pin := range lp.pins[int(ev.Sender)] {
-				lp.st.inputs[pin] = circuit.Value(ev.Value)
+			v := ops.recv(ev)
+			for pin, src := range lp.fanin {
+				if src == int(ev.Sender) {
+					lp.st.inputs[pin] = v
+				}
 			}
 		case kindStimulus:
 			stimulus = true
@@ -281,8 +372,8 @@ func (lp *gateLP) Execute(ctx *timewarp.Context, now timewarp.Time, events []tim
 	case stimulus:
 		cycle := int(now / cfg.ClockPeriod)
 		seqsim.Burn(cfg.Grain)
-		v := seqsim.StimulusBit(cfg.StimulusSeed, lp.inputIdx, cycle)
-		if v != lp.st.out {
+		v := ops.stimulus(cfg.StimulusSeed, lp.inputIdx, cycle)
+		if ops.diff(v, lp.st.out) != 0 {
 			lp.st.out = v
 			lp.emit(ctx, now)
 		}
@@ -293,11 +384,13 @@ func (lp *gateLP) Execute(ctx *timewarp.Context, now timewarp.Time, events []tim
 		if clocked {
 			seqsim.Burn(cfg.Grain)
 			d := lp.st.inputs[0]
-			if d != lp.st.ff {
+			if ops.diff(d, lp.st.ff) != 0 {
 				lp.st.ff = d
-				lp.st.out = d
-				lp.note(now)
-				lp.emit(ctx, now)
+				if changed := ops.diff(lp.st.out, d); changed != 0 {
+					lp.st.out = d
+					lp.note(now, changed)
+					lp.emit(ctx, now)
+				}
 			}
 			cycle := int((now - cfg.ClockPeriod/2) / cfg.ClockPeriod)
 			if next := cycle + 1; next < cfg.Cycles {
@@ -307,10 +400,10 @@ func (lp *gateLP) Execute(ctx *timewarp.Context, now timewarp.Time, events []tim
 		// Plain D-pin arrivals latch nothing until the next clock edge.
 	default:
 		seqsim.Burn(cfg.Grain)
-		out := circuit.Eval(lp.typ, lp.st.inputs)
-		if out != lp.st.out {
+		out := ops.eval(lp.typ, lp.st.inputs)
+		if changed := ops.diff(out, lp.st.out); changed != 0 {
 			lp.st.out = out
-			lp.note(now)
+			lp.note(now, changed)
 			lp.emit(ctx, now)
 		}
 	}
@@ -318,28 +411,33 @@ func (lp *gateLP) Execute(ctx *timewarp.Context, now timewarp.Time, events []tim
 
 // emit sends the LP's (already updated) output to its fanout with sender
 // delay.
-func (lp *gateLP) emit(ctx *timewarp.Context, now timewarp.Time) {
+func (lp *gateLP[V, L]) emit(ctx *timewarp.Context, now timewarp.Time) {
 	if lp.typ == circuit.Output {
 		return
 	}
+	var ops L
 	for _, d := range lp.fanout {
-		ctx.Send(timewarp.LPID(d), now+lp.delay, kindSignal, int32(lp.st.out))
+		ops.send(ctx, timewarp.LPID(d), now+lp.delay, lp.st.out)
 	}
 }
 
-// note records a primary-output change in the LP's rollback-safe signature.
-func (lp *gateLP) note(t timewarp.Time) {
-	idx, ok := lp.sim.outIdx[lp.id]
-	if !ok {
+// note records the changed lanes of a primary-output update in their
+// per-lane rollback-safe signatures.
+func (lp *gateLP[V, L]) note(t timewarp.Time, changed uint64) {
+	if lp.outIdx < 0 {
 		return
 	}
-	lp.st.hist += seqsim.OutputHash(t, idx, lp.st.out)
+	var ops L
+	for m := changed; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
+		lp.st.hist[lane] += seqsim.OutputHash(t, lp.outIdx, ops.lane(lp.st.out, lane))
+	}
 }
 
 // SaveState implements timewarp.Handler. Snapshots come from the free list
 // the kernel refills via RecycleState, so steady-state snapshotting does not
 // allocate.
-func (lp *gateLP) SaveState() interface{} {
+func (lp *gateLP[V, L]) SaveState() interface{} {
 	if n := len(lp.snapFree); n > 0 {
 		s := lp.snapFree[n-1]
 		lp.snapFree[n-1] = nil
@@ -347,27 +445,31 @@ func (lp *gateLP) SaveState() interface{} {
 		copy(s.inputs, lp.st.inputs)
 		s.out = lp.st.out
 		s.ff = lp.st.ff
-		s.hist = lp.st.hist
+		copy(s.hist, lp.st.hist)
 		return s
 	}
-	s := lp.st.clone()
-	return &s
+	return &gateState[V]{
+		inputs: append([]V(nil), lp.st.inputs...),
+		out:    lp.st.out,
+		ff:     lp.st.ff,
+		hist:   append([]uint64(nil), lp.st.hist...),
+	}
 }
 
 // RestoreState implements timewarp.Handler.
-func (lp *gateLP) RestoreState(snap interface{}) {
-	s := snap.(*gateState)
+func (lp *gateLP[V, L]) RestoreState(snap interface{}) {
+	s := snap.(*gateState[V])
 	// The snapshot stays immutable: copy out of it.
 	copy(lp.st.inputs, s.inputs)
 	lp.st.out = s.out
 	lp.st.ff = s.ff
-	lp.st.hist = s.hist
+	copy(lp.st.hist, s.hist)
 }
 
 // RecycleState implements timewarp.StateRecycler: discarded snapshots return
 // to the free list for the next SaveState.
-func (lp *gateLP) RecycleState(snap interface{}) {
-	s, ok := snap.(*gateState)
+func (lp *gateLP[V, L]) RecycleState(snap interface{}) {
+	s, ok := snap.(*gateState[V])
 	if !ok || len(lp.snapFree) >= 64 {
 		return
 	}
@@ -376,45 +478,54 @@ func (lp *gateLP) RecycleState(snap interface{}) {
 
 // EncodeState implements timewarp.StateCodec, making gates migratable across
 // a multi-process transport: the mutable simulation state is exactly
-// gateState (input pins, output, flip-flop latch, history signature) — the
-// rest of gateLP is immutable tables every replica builds identically from
-// the circuit.
-func (lp *gateLP) EncodeState(buf []byte) ([]byte, error) {
+// gateState — the rest of gateLP is immutable tables every replica builds
+// identically from the circuit. Layout, little-endian, with fixed-width
+// values (one byte scalar, val and unknown u64 planes vectored):
+// [npins u8][npins values][out][ff][u64 × lanes, primary outputs only].
+func (lp *gateLP[V, L]) EncodeState(buf []byte) ([]byte, error) {
 	if len(lp.st.inputs) > 255 {
 		return nil, fmt.Errorf("logicsim: gate %d has %d pins, wire limit 255", lp.id, len(lp.st.inputs))
 	}
+	var ops L
 	buf = append(buf, byte(len(lp.st.inputs)))
 	for _, v := range lp.st.inputs {
-		buf = append(buf, byte(v))
+		buf = ops.put(buf, v)
 	}
-	buf = append(buf, byte(lp.st.out), byte(lp.st.ff))
-	h := lp.st.hist
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(h>>(8*i)))
+	buf = ops.put(ops.put(buf, lp.st.out), lp.st.ff)
+	for _, h := range lp.st.hist {
+		buf = binary.LittleEndian.AppendUint64(buf, h)
 	}
 	return buf, nil
 }
 
-// DecodeState implements timewarp.StateCodec.
-func (lp *gateLP) DecodeState(data []byte) error {
-	if len(data) < 1 {
-		return fmt.Errorf("logicsim: gate state truncated")
+// DecodeState implements timewarp.StateCodec. The payload must match this
+// gate's pin count and primary-output status exactly, and every value must
+// be one EncodeState can produce.
+func (lp *gateLP[V, L]) DecodeState(data []byte) error {
+	var ops L
+	n, sz := len(lp.st.inputs), ops.size()
+	want := 1 + (n+2)*sz + 8*len(lp.st.hist)
+	if len(data) != want || data[0] != byte(n) {
+		return fmt.Errorf("logicsim: gate %d state of %d bytes does not fit %d pins (want %d bytes)",
+			lp.id, len(data), n, want)
 	}
-	n := int(data[0])
-	if n != len(lp.st.inputs) || len(data) != 1+n+2+8 {
-		return fmt.Errorf("logicsim: gate state for %d pins, have %d (len %d)", n, len(lp.st.inputs), len(data))
+	vals := data[1:]
+	var err error
+	for i := range lp.st.inputs {
+		if lp.st.inputs[i], err = ops.get(vals[i*sz:]); err != nil {
+			return fmt.Errorf("logicsim: gate %d pin %d: %w", lp.id, i, err)
+		}
 	}
-	data = data[1:]
-	for i := 0; i < n; i++ {
-		lp.st.inputs[i] = circuit.Value(data[i])
+	if lp.st.out, err = ops.get(vals[n*sz:]); err != nil {
+		return fmt.Errorf("logicsim: gate %d output: %w", lp.id, err)
 	}
-	lp.st.out = circuit.Value(data[n])
-	lp.st.ff = circuit.Value(data[n+1])
-	var h uint64
-	for i := 0; i < 8; i++ {
-		h |= uint64(data[n+2+i]) << (8 * i)
+	if lp.st.ff, err = ops.get(vals[(n+1)*sz:]); err != nil {
+		return fmt.Errorf("logicsim: gate %d latch: %w", lp.id, err)
 	}
-	lp.st.hist = h
+	hist := vals[(n+2)*sz:]
+	for i := range lp.st.hist {
+		lp.st.hist[i] = binary.LittleEndian.Uint64(hist[8*i:])
+	}
 	return nil
 }
 
@@ -487,34 +598,20 @@ func Run(c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error)
 	if err := cfg.setDefaults(c); err != nil {
 		return Result{}, err
 	}
-	sim := &shared{c: c, cfg: cfg, outIdx: make(map[int]int, len(c.Outputs))}
-	for i, id := range c.Outputs {
-		sim.outIdx[id] = i
-	}
-	inputIdx := make(map[int]int, len(c.Inputs))
-	for i, id := range c.Inputs {
-		inputIdx[id] = i
-	}
-	handlers := make([]timewarp.Handler, c.NumGates())
-	lps := make([]*gateLP, c.NumGates())
-	var vlps []*vecGateLP
 	if cfg.Vectors {
-		vlps = make([]*vecGateLP, c.NumGates())
+		return run[circuit.VecValue, vector](c, a, cfg)
 	}
+	return run[circuit.Value, scalar](c, a, cfg)
+}
+
+func run[V any, L lanes[V]](c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error) {
+	sim := &shared{c: c, cfg: cfg}
+	inputIdx, outIdx := indexOf(c.Inputs, c.NumGates()), indexOf(c.Outputs, c.NumGates())
+	handlers := make([]timewarp.Handler, c.NumGates())
+	lps := make([]*gateLP[V, L], c.NumGates())
 	for id, g := range c.Gates {
-		idx := -1
-		if g.Type == circuit.Input {
-			idx = inputIdx[id]
-		}
-		if cfg.Vectors {
-			lp := newVecGateLP(sim, g, idx)
-			vlps[id] = lp
-			handlers[id] = lp
-		} else {
-			lp := newGateLP(sim, g, idx)
-			lps[id] = lp
-			handlers[id] = lp
-		}
+		lps[id] = newGateLP[V, L](sim, g, inputIdx[id], outIdx[id])
+		handlers[id] = lps[id]
 	}
 	var window timewarp.Time
 	if cfg.OptimismCycles > 0 {
@@ -556,9 +653,10 @@ func Run(c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error)
 		return Result{}, err
 	}
 
+	var ops L
 	res := Result{
 		CommittedEvents: stats.EventsCommitted,
-		ScenarioEvents:  stats.EventsCommitted,
+		ScenarioEvents:  stats.EventsCommitted * uint64(ops.width()),
 		OutputValues:    make([]circuit.Value, len(c.Outputs)),
 		FinalValues:     make([]circuit.Value, c.NumGates()),
 		Local:           make([]bool, c.NumGates()),
@@ -567,43 +665,42 @@ func Run(c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error)
 	// Report only the gates this process hosts at the end of the run: a
 	// remote gate's handler here is either an untouched replica or a stale
 	// pre-migration copy, and exactly one node reports each gate.
-	if cfg.Vectors {
-		res.ScenarioEvents = stats.EventsCommitted * circuit.W
-		res.VecOutputHistory = make([]uint64, circuit.W)
-		res.VecFinalValues = make([]circuit.VecValue, c.NumGates())
-		res.VecOutputValues = make([]circuit.VecValue, len(c.Outputs))
-		allX := circuit.BroadcastVec(circuit.X)
-		for id, lp := range vlps {
-			res.VecFinalValues[id] = allX
-			res.FinalValues[id] = circuit.X
-			if !kernel.LocalLP(timewarp.LPID(id)) {
-				continue
-			}
-			res.Local[id] = true
-			res.VecFinalValues[id] = lp.st.out
-			res.FinalValues[id] = lp.st.out.Lane(0)
-			for s, h := range lp.st.hist {
-				res.VecOutputHistory[s] += h
-			}
-		}
-		for i, id := range c.Outputs {
-			res.VecOutputValues[i] = res.VecFinalValues[id]
-			res.OutputValues[i] = res.FinalValues[id]
-		}
-		res.OutputHistory = res.VecOutputHistory[0]
-		return res, nil
-	}
+	final := make([]V, c.NumGates())
+	hist := make([]uint64, ops.width())
 	for id, lp := range lps {
-		res.FinalValues[id] = circuit.X
-		if !kernel.LocalLP(timewarp.LPID(id)) {
-			continue
+		final[id] = ops.allX()
+		if kernel.LocalLP(timewarp.LPID(id)) {
+			res.Local[id] = true
+			final[id] = lp.st.out
+			for s, h := range lp.st.hist {
+				hist[s] += h
+			}
 		}
-		res.Local[id] = true
-		res.FinalValues[id] = lp.st.out
-		res.OutputHistory += lp.st.hist
+		res.FinalValues[id] = ops.lane(final[id], 0)
 	}
 	for i, id := range c.Outputs {
 		res.OutputValues[i] = res.FinalValues[id]
 	}
+	res.OutputHistory = hist[0]
+	if vf, ok := any(final).([]circuit.VecValue); ok {
+		res.VecFinalValues = vf
+		res.VecOutputHistory = hist
+		res.VecOutputValues = make([]circuit.VecValue, len(c.Outputs))
+		for i, id := range c.Outputs {
+			res.VecOutputValues[i] = vf[id]
+		}
+	}
 	return res, nil
+}
+
+// indexOf maps each of n gate IDs to its position in ids, or -1.
+func indexOf(ids []int, n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, id := range ids {
+		idx[id] = i
+	}
+	return idx
 }

@@ -120,9 +120,9 @@ func TestDeterminismMatrixVectors(t *testing.T) {
 }
 
 // TestVectorsForcedMigration holds the vectored mode to the oracle while the
-// kernel migrates gates between clusters mid-run: the vecGateLP StateCodec
-// must carry every packed plane and all 64 per-lane history terms across the
-// move, or a lane's signature diverges.
+// kernel migrates gates between clusters mid-run: the vectored gate LP's
+// StateCodec must carry every packed plane and all 64 per-lane history terms
+// across the move, or a lane's signature diverges.
 func TestVectorsForcedMigration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
