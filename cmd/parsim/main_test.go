@@ -90,7 +90,7 @@ func TestParsimMultiProcessSmoke(t *testing.T) {
 // detector, and no oracle check (failing runs have nothing to verify).
 func chaosArgs(extra ...string) []string {
 	return append([]string{
-		"-bench", "s5378", "-scale", "0.05", "-nodes", "2", "-cycles", "2000",
+		"-bench", "s5378", "-scale", "0.05", "-nodes", "2", "-cycles", "1000000",
 		"-grain", "0", "-noverify", "-heartbeat", "100ms", "-peer-timeout", "500ms",
 	}, extra...)
 }

@@ -39,7 +39,12 @@
 //     color and charge a per-color in-transit counter by length, unflushed
 //     buffers are folded into their owner's GVT report, and control bits
 //     ride the mailboxes immune to data backpressure — so clusters never
-//     stop executing for a GVT round. The LP→cluster mapping is a
+//     stop executing for a GVT round. Cluster waits are wake-driven: an
+//     idle or window-stalled cluster sleeps on its mailbox until a batch,
+//     a control bit, a rise of another cluster's published progress (for
+//     window-stalled clusters) or the last ack of a GVT round step (for
+//     cluster 0, the coordinator's host) rings it; the short wait timer is
+//     a safety net and the modeled wire's poll. The LP→cluster mapping is a
 //     versioned routing table the kernel rewrites mid-run: dynamic
 //     rebalancing snapshots per-LP load (EWMA-smoothed across rounds) in
 //     an extra control wave and migrates LPs at observed-GVT advance, with

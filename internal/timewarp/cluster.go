@@ -30,6 +30,11 @@ type ClusterStats struct {
 	// ForwardedMessages counts events that arrived under a stale routing
 	// epoch and were forwarded to the receiver's current home.
 	ForwardedMessages uint64 `json:"forwarded_messages"`
+	// Waits counts the times the cluster blocked on its mailbox, idle or
+	// stalled by the optimism window; WaitTimeouts counts the waits that
+	// ended on the idleWait timer instead of a wakeup.
+	Waits        uint64 `json:"waits"`
+	WaitTimeouts uint64 `json:"wait_timeouts"`
 }
 
 func (s *ClusterStats) add(o ClusterStats) {
@@ -42,6 +47,8 @@ func (s *ClusterStats) add(o ClusterStats) {
 	s.AntiMessages += o.AntiMessages
 	s.Migrations += o.Migrations
 	s.ForwardedMessages += o.ForwardedMessages
+	s.Waits += o.Waits
+	s.WaitTimeouts += o.WaitTimeouts
 }
 
 // schedEntry is a lazily maintained LTSF scheduler entry: the LP claimed to
@@ -65,12 +72,23 @@ func (h *schedHeap) pop() schedEntry { return heapPop((*[]schedEntry)(h), schedL
 // (initialization is single-threaded), so no locking is needed.
 type eventPool struct {
 	free [][]Event
+	// held is the summed capacity of the slices in free; put refuses a
+	// slice that would raise it above limit.
+	held, limit int
+}
+
+// eventPoolLimit sizes a cluster's pool to one GVT period. A fossil
+// collection frees about GVTPeriodEvents bundles per cluster, each holding
+// an input slice and a send slice; the pool keeps their capacity, with
+// headroom for fan-out, so the next period's bundles reuse it instead of
+// allocating while the freed slices turn into garbage.
+func eventPoolLimit(gvtPeriodEvents int) int {
+	return 8 * gvtPeriodEvents
 }
 
 // maxPooledEventCap bounds the backing-array size the pool will retain. One
-// rollback burst with huge bundles would otherwise park arbitrarily large
-// arrays in the pool forever — the pool length bound alone caps the count of
-// pinned slices, not their size.
+// rollback burst with huge bundles would otherwise fill the whole pool with a
+// few arbitrarily large arrays that ordinary bundles never grow into.
 const maxPooledEventCap = 1024
 
 // get returns a recycled zero-length slice, or nil (callers append).
@@ -81,24 +99,30 @@ func (p *eventPool) get() []Event {
 		s := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
+		p.held -= cap(s)
 		return s
 	}
 	return nil
 }
 
-// put recycles a slice's backing array. The pool is bounded in count and in
-// per-slice capacity so a rollback burst cannot pin memory forever.
+// put recycles a slice's backing array. The pool is bounded in total pooled
+// capacity and in per-slice capacity so a rollback burst cannot pin memory
+// forever.
 //
 //kernelvet:pool-put
 func (p *eventPool) put(s []Event) {
-	if cap(s) == 0 || cap(s) > maxPooledEventCap || len(p.free) >= 256 {
+	if cap(s) == 0 || cap(s) > maxPooledEventCap || p.held+cap(s) > p.limit {
 		return
 	}
+	p.held += cap(s)
 	p.free = append(p.free, s[:0])
 }
 
 // idleWait bounds how long an idle or window-stalled cluster blocks on its
-// mailbox before re-checking scheduler, GVT and optimism-window state.
+// mailbox. Every wait is woken by what it waits for (see waitMail), so the
+// timer is a safety net and the poll interval of the modeled wire's delayed
+// heap. Once every P is idle the Go runtime rounds such a short timer up to
+// about a millisecond, so a wait that depends on it costs that much.
 const idleWait = 50 * time.Microsecond
 
 // cluster is one simulation node: a goroutine owning a set of LPs, a batched
@@ -152,7 +176,11 @@ type cluster struct {
 	stats   ClusterStats //kernelvet:owner cluster
 
 	eventsSinceGVT int //kernelvet:owner cluster
-	idleLoops      int //kernelvet:owner cluster
+	// idle is true from the iteration the cluster found nothing to do until
+	// it next executes or receives events; entering it requests a GVT round.
+	idle bool //kernelvet:owner cluster
+	// idleGVT is the GVT this cluster saw at its last timed-out idle wait.
+	idleGVT Time //kernelvet:owner cluster
 
 	// color is the GVT round this cluster has joined; its parity stamps
 	// every flushed batch for the kernel's transit counts.
@@ -320,8 +348,12 @@ func (c *cluster) checkGVT() {
 	if r := atomic.LoadInt64(&k.loadRound); r > c.loadSeen {
 		// Load round: copy this cluster's per-LP activity counters into its
 		// snapshot buffer (resetting the window) and ack. The coordinator
-		// reads the buffer only after every cluster acked.
+		// reads the buffer only after every cluster acked. Committing
+		// through the GVT that opened the round comes first: an idle
+		// cluster sleeps through GVT advances, so its committed counters
+		// would otherwise lag the snapshot.
 		c.loadSeen = r
+		c.maybeFossil()
 		c.captureLoad()
 		k.tr.ackLoad(c)
 	}
@@ -341,18 +373,7 @@ func (c *cluster) maybeFossil() {
 // number of events executed (0 when idle or when all work lies beyond the
 // optimism window).
 func (c *cluster) executeOne() (n int, windowStalled bool) {
-	horizon := TimeInfinity
-	// A single cluster cannot receive stragglers, so the window would only
-	// add stalls there.
-	if w := c.kernel.cfg.OptimismWindow; w > 0 && len(c.kernel.clusters) > 1 {
-		floor := c.kernel.progressFloor()
-		if floor < 0 {
-			floor = 0
-		}
-		if floor < TimeInfinity-w {
-			horizon = floor + w
-		}
-	}
+	horizon := c.kernel.horizon()
 	for len(c.sched) > 0 {
 		e := c.sched.pop()
 		lp := e.lp
@@ -397,6 +418,13 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 // (scheduling, delivery, rollback, fossil collection) runs on this goroutine
 // and may touch cluster- and LP-owned state freely.
 //
+// A cluster with nothing to execute blocks in waitMail, and every wait ends
+// when what it waits for happens: a batch or control bit in its mailbox, a
+// raised progress slot for a window-stalled cluster (publishProgress), or,
+// for cluster 0, the coordinator's next round step becoming possible
+// (Kernel.acked, Kernel.flagGVT). The idleWait timer is only a safety net
+// and the poll for the modeled wire's delayed batches.
+//
 //kernelvet:goroutine cluster
 func (c *cluster) run() {
 	k := c.kernel
@@ -409,7 +437,9 @@ func (c *cluster) run() {
 		c.checkGVT()
 		c.checkMigrate()
 		n, windowStalled := c.executeOne()
-		c.drainLocal()
+		// Counted: a load-round capture can commit history and queue
+		// lazy-cancellation anti-messages here without executing.
+		moved += c.drainLocal()
 		c.maybeFossil()
 		c.eventsSinceGVT += n
 		if c.eventsSinceGVT >= k.cfg.GVTPeriodEvents {
@@ -420,7 +450,8 @@ func (c *cluster) run() {
 		// top is accurate after executeOne). The optimism throttle reads
 		// the floor over these, and senders read individual entries for the
 		// urgency flush trigger; publishing before any idle wait keeps both
-		// fresh. One plain atomic store.
+		// fresh. One atomic swap; a raised slot also wakes the clusters
+		// stalled on the window.
 		next := TimeInfinity
 		if len(c.sched) > 0 {
 			next = c.sched[0].t
@@ -428,27 +459,40 @@ func (c *cluster) run() {
 		k.tr.publish(c, next)
 		switch {
 		case n > 0 || moved > 0:
-			c.idleLoops = 0
+			c.idle = false
 		case windowStalled:
 			// All local work lies beyond the optimism horizon. Flush held
 			// batches (they may be what lets the floor advance elsewhere)
-			// and wait like an idle cluster instead of spinning a core;
+			// and sleep until the floor rises instead of spinning a core;
 			// stragglers and GVT wakeups still interrupt the wait
 			// instantly. No GVT request: the window throttles against the
 			// published progress floor, not GVT.
 			c.flushAll()
-			c.waitMail()
+			c.waitStalled(next)
 		default:
-			c.idleLoops++
-			if c.idleLoops >= 16 {
-				// Idle clusters nudge the run toward a GVT round so
-				// termination (GVT = infinity) is detected promptly.
-				k.requestGVTIfStale()
-				c.idleLoops = 0
+			if !c.idle {
+				// A cluster going idle asks for a round at once: its
+				// report may be the last one holding GVT down, and
+				// termination (GVT = infinity) needs a round after the
+				// last cluster ran out of work.
+				c.idle = true
+				k.requestGVT()
 			}
 			// The idleness flush trigger: never block on held batches.
 			c.flushAll()
-			c.waitMail()
+			if c.waitMail() {
+				// Safety net for liveness: a state change that can
+				// release GVT without making any cluster busy would
+				// otherwise leave the run waiting for a round nobody
+				// asks for. A cluster whose idle waits time out twice
+				// in a row with GVT unchanged asks again; while other
+				// clusters keep GVT moving it stays quiet.
+				if g := k.GVT(); g == c.idleGVT {
+					k.requestGVT()
+				} else {
+					c.idleGVT = g
+				}
+			}
 		}
 	}
 	// Terminal GVT is infinity and the network is empty: commit everything

@@ -96,11 +96,10 @@ type Kernel struct {
 	// eventID backs the nextEventID testing helper. It starts at 1<<63 so
 	// hand-minted IDs can never collide with the per-LP blocks (lp.go),
 	// which live below 2^63.
-	eventID     uint64
-	gvtFlag     int32
-	done        int32
-	gvt         int64
-	lastGVTNano int64
+	eventID uint64
+	gvtFlag int32
+	done    int32
+	gvt     int64
 
 	// transit counts undelivered remote events (flushed batches in
 	// mailboxes and on the modeled wire) by round parity. Events still in
@@ -152,6 +151,10 @@ type Kernel struct {
 	// false sharing. Under TCPTransport remote entries are mirrors kept
 	// fresh by progress frames.
 	published []paddedTime
+	// stalled[i].n is 1 while cluster i sleeps because all its work lies
+	// beyond the optimism window; publishProgress wakes it when a slot
+	// rises. One padded flag per cluster, since NumClusters is unbounded.
+	stalled []paddedCount
 
 	ran bool
 }
@@ -177,6 +180,7 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 		gvt:       -1,
 		prevGVT:   -2,
 		published: make([]paddedTime, cfg.NumClusters),
+		stalled:   make([]paddedCount, cfg.NumClusters),
 		loadBufs:  make([]loadSnapBuf, cfg.NumClusters),
 	}
 	// A cluster that has not yet published progress must look idle, not
@@ -196,6 +200,7 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 			mail:       mailbox{notify: make(chan struct{}, 1)},
 			out:        make([]outbox, cfg.NumClusters),
 			flushBatch: cfg.Net.FlushBatch,
+			evPool:     eventPool{limit: eventPoolLimit(cfg.GVTPeriodEvents)},
 			redMin:     TimeInfinity,
 			fossilAt:   -1,
 			owned:      make([]bool, len(handlers)),
@@ -247,19 +252,24 @@ func (k *Kernel) requestGVT() {
 	k.tr.requestGVT()
 }
 
-// requestGVTAfter requests a round only if none completed within the given
-// wall-clock interval; callers pick the fuse by urgency.
-func (k *Kernel) requestGVTAfter(d time.Duration) {
-	if time.Now().UnixNano()-atomic.LoadInt64(&k.lastGVTNano) > int64(d) {
-		k.requestGVT()
+// flagGVT raises the round-request flag on the coordinator's node and, when
+// this call raised it, rings cluster 0's mailbox. The coordinator runs
+// inside cluster 0's loop, so a sleeping cluster 0 would otherwise start the
+// round only when its wait times out.
+func (k *Kernel) flagGVT() {
+	if atomic.CompareAndSwapInt32(&k.gvtFlag, 0, 1) {
+		k.clusters[0].mail.wake()
 	}
 }
 
-// requestGVTIfStale requests a round only if none completed recently; idle
-// clusters use it so termination (GVT = infinity) is detected promptly
-// without spamming busy clusters with back-to-back rounds.
-func (k *Kernel) requestGVTIfStale() {
-	k.requestGVTAfter(2 * time.Millisecond)
+// acked takes a round counter's value (cutAcks, reportAcks or loadAcks)
+// just after one cluster's acknowledgement was added on the coordinator's
+// node. The last ack rings cluster 0's mailbox, for the same reason as
+// flagGVT: the coordinator's next round step waits for exactly that count.
+func (k *Kernel) acked(n int32) {
+	if n == int32(len(k.clusters)) {
+		k.clusters[0].mail.wake()
+	}
 }
 
 func (k *Kernel) busy(iters int) {
@@ -300,9 +310,21 @@ type paddedCount struct {
 }
 
 // publishProgress records cluster id's next work time for the optimism
-// window and the urgency flush trigger.
+// window and the urgency flush trigger. A raised slot may lift the progress
+// floor, so it wakes every window-stalled cluster. The store comes before
+// the flag reads, and a sleeper sets its flag before it re-reads the floor
+// (cluster.waitStalled): with sequentially consistent atomics, either the
+// sleeper sees the new slot or this call sees its flag, so no wakeup is
+// lost.
 func (k *Kernel) publishProgress(id int, t Time) {
-	atomic.StoreInt64(&k.published[id].t, t)
+	if atomic.SwapInt64(&k.published[id].t, t) >= t {
+		return
+	}
+	for i := range k.stalled {
+		if atomic.LoadInt64(&k.stalled[i].n) != 0 {
+			k.clusters[i].mail.wake()
+		}
+	}
 }
 
 // progressFloor returns the minimum self-reported next work time across
@@ -316,6 +338,25 @@ func (k *Kernel) progressFloor() Time {
 		}
 	}
 	return min
+}
+
+// horizon returns the latest time a cluster may execute under the optimism
+// window: the progress floor plus OptimismWindow, or TimeInfinity when no
+// window applies. A single cluster cannot receive stragglers, so the window
+// would only add stalls there.
+func (k *Kernel) horizon() Time {
+	w := k.cfg.OptimismWindow
+	if w <= 0 || len(k.clusters) <= 1 {
+		return TimeInfinity
+	}
+	floor := k.progressFloor()
+	if floor < 0 {
+		floor = 0
+	}
+	if floor >= TimeInfinity-w {
+		return TimeInfinity
+	}
+	return floor + w
 }
 
 // inTransit returns the total undelivered flushed-event count across both
@@ -374,11 +415,14 @@ func (k *Kernel) Run() (RunStats, error) {
 			break
 		}
 	}
-	// Seed each cluster's scheduler.
+	// Seed each cluster's scheduler. A cluster that starts without work has
+	// not gone idle: it asks for a round only once it has done something,
+	// or through the idle safety net (cluster.run).
 	for _, c := range k.local {
 		for _, lp := range c.lps {
 			c.schedule(lp)
 		}
+		c.idle = len(c.sched) == 0
 	}
 
 	start := time.Now()
@@ -425,19 +469,28 @@ func (k *Kernel) Run() (RunStats, error) {
 	return stats, err
 }
 
-// coordinate advances the GVT round state machine by at most one step.
-// Cluster 0 calls it once per main-loop iteration; every step is
-// non-blocking, so the coordinator keeps draining and executing events
-// while a round is in flight. The coordinator runs inside cluster 0's loop
-// yet is its own ownership domain: only code reached from here may touch the
-// kernel's round bookkeeping.
+// coordinate advances the GVT round state machine as far as it can go
+// without waiting. Cluster 0 calls it once per main-loop iteration; every
+// step is non-blocking, so the coordinator keeps draining and executing
+// events while a round is in flight. One step can enable the next (a load
+// round ends while a round request is pending), and cluster 0 may sleep
+// right after this call with nothing left to wake it for a step that is
+// already possible, so steps repeat until one has to wait. The coordinator
+// runs inside cluster 0's loop yet is its own ownership domain: only code
+// reached from here may touch the kernel's round bookkeeping.
 //
 //kernelvet:goroutine coordinator
 func (k *Kernel) coordinate() {
+	for k.coordStep() {
+	}
+}
+
+// coordStep takes at most one round step and reports whether it took one.
+func (k *Kernel) coordStep() bool {
 	switch k.phase {
 	case phaseIdle:
 		if atomic.LoadInt32(&k.gvtFlag) == 0 {
-			return
+			return false
 		}
 		// Requests observed from here on belong to the next round.
 		atomic.StoreInt32(&k.gvtFlag, 0)
@@ -450,20 +503,20 @@ func (k *Kernel) coordinate() {
 		k.tr.broadcastCtrl(ctrlCut)
 	case phaseCut:
 		if atomic.LoadInt32(&k.cutAcks) != int32(len(k.clusters)) {
-			return
+			return false
 		}
 		// All clusters are red, so no new white batches can appear; the
 		// transport decides when every pre-cut (white) batch has landed.
 		white := 1 - atomic.LoadInt64(&k.round)&1
 		if !k.tr.whiteDrained(white) {
-			return
+			return false
 		}
 		atomic.StoreInt64(&k.reportRound, atomic.LoadInt64(&k.round))
 		k.phase = phaseCollect
 		k.tr.broadcastCtrl(ctrlReport)
 	case phaseCollect:
 		if atomic.LoadInt32(&k.reportAcks) != int32(len(k.clusters)) {
-			return
+			return false
 		}
 		gvt := TimeInfinity
 		for i := range k.reports {
@@ -483,12 +536,11 @@ func (k *Kernel) coordinate() {
 		k.prevGVT = gvt
 		atomic.StoreInt64(&k.gvt, gvt)
 		k.gvtRounds++
-		atomic.StoreInt64(&k.lastGVTNano, time.Now().UnixNano())
 		k.phase = phaseIdle
 		if gvt == TimeInfinity {
 			atomic.StoreInt32(&k.done, 1)
 			k.tr.noteGVT(true)
-			return
+			return false
 		}
 		k.tr.noteGVT(false)
 		// Dynamic rebalancing piggybacks on GVT advance: that is the one
@@ -503,11 +555,12 @@ func (k *Kernel) coordinate() {
 		}
 	case phaseLoad:
 		if atomic.LoadInt32(&k.loadAcks) != int32(len(k.clusters)) {
-			return
+			return false
 		}
 		k.finishLoadRound()
 		k.phase = phaseIdle
 	}
+	return true
 }
 
 // dumpStuck reports the kernel state when GVT has not advanced for thousands

@@ -289,3 +289,31 @@ func TestEventHeapOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestRollbackToTimeZeroBeforeCommit: time 0 is a valid bundle time (the
+// stimulus starts there), so an LP that has committed nothing must accept a
+// straggler at 0 — under a multi-process transport init events from peers
+// arrive after the clusters started — and a wire migration must be able to
+// roll such an LP back to 0 before the first GVT advance.
+func TestRollbackToTimeZeroBeforeCommit(t *testing.T) {
+	a := &pingLP{}
+	k, err := New(Config{NumClusters: 1, ClusterOf: []int{0}}, []Handler{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := k.clusters[0]
+	c.deliver(Event{ID: k.nextEventID(), Receiver: 0, RecvTime: 0})
+	if n, _ := c.executeOne(); n != 1 {
+		t.Fatalf("executed %d events at time 0, want 1", n)
+	}
+	c.deliver(Event{ID: k.nextEventID(), Sender: 1, Receiver: 0, RecvTime: 0})
+	if got := c.stats.Rollbacks; got != 1 {
+		t.Fatalf("rollbacks = %d, want 1", got)
+	}
+	if n, _ := c.executeOne(); n != 2 {
+		t.Fatalf("re-executed %d events at time 0, want 2", n)
+	}
+	if a.seen != 2 {
+		t.Fatalf("handler saw %d events after the rollback, want 2", a.seen)
+	}
+}

@@ -132,7 +132,8 @@ type lpRuntime struct {
 	// lives above 2^63, outside every LP's space.
 	idNext, idEnd uint64 //kernelvet:owner cluster
 
-	// committedThrough is the latest fossil-collected bundle time; it only
+	// committedThrough is the latest fossil-collected bundle time, -1
+	// before anything was committed (0 is a valid bundle time); it only
 	// backs the rollback invariant check.
 	committedThrough Time //kernelvet:owner cluster
 
@@ -190,14 +191,15 @@ type oldSendEntry struct {
 
 func newLPRuntime(id LPID, h Handler, c *cluster) *lpRuntime {
 	lp := &lpRuntime{
-		id:        id,
-		handler:   h,
-		cluster:   c,
-		cancelled: make(map[uint64]struct{}),
-		lvt:       -1,
-		schedT:    TimeInfinity,
-		idNext:    uint64(id) << 32,
-		idEnd:     (uint64(id) + 1) << 32,
+		id:               id,
+		handler:          h,
+		cluster:          c,
+		cancelled:        make(map[uint64]struct{}),
+		lvt:              -1,
+		committedThrough: -1,
+		schedT:           TimeInfinity,
+		idNext:           uint64(id) << 32,
+		idEnd:            (uint64(id) + 1) << 32,
 	}
 	lp.recycler, _ = h.(StateRecycler)
 	return lp

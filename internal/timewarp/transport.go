@@ -50,6 +50,14 @@ import (
 // as events: posting a control kind sets a bit and rings the notify channel,
 // which cannot fail on a full mailbox — the control plane is immune to data
 // backpressure, so broadcast needs no retry bookkeeping.
+//
+// The notify channel is also how every cluster wait ends. Besides batches
+// and control bits, two events ring it without queuing anything: a raised
+// progress slot rings every window-stalled cluster (Kernel.publishProgress),
+// and the last ack of a round step or a new round request rings cluster 0,
+// whose loop hosts the coordinator (Kernel.acked, Kernel.flagGVT). A
+// cluster therefore sleeps until what it waits for happens; the idleWait
+// timer only backs that up and polls the modeled wire's delayed heap.
 
 // batchHdr describes one pushed batch: its length, the GVT round color its
 // transit charge sits under, and the modeled-wire delivery deadline (zero
@@ -380,11 +388,17 @@ func (c *cluster) drainAllInit() int {
 	return n
 }
 
-// waitMail blocks for at most idleWait for a mailbox wakeup (a remote batch,
-// a GVT control bit, or a migration nudge). Idle and window-stalled clusters
-// both use it, so neither spins a core; an arriving batch is handled
-// immediately, so waiting never delays straggler receipt.
-func (c *cluster) waitMail() {
+// waitMail blocks on the mailbox's notify channel until something rings it:
+// a remote batch, a control bit (GVT wave, migration nudge, exit), a raised
+// progress slot while the cluster is window-stalled, or, for cluster 0, a
+// coordinator wakeup. Producers ring it when what the cluster waits for
+// happens, so the idleWait timer is only a safety net and the poll for the
+// modeled wire's delayed batches. Idle and window-stalled clusters both use
+// it, so neither spins a core; an arriving batch is handled immediately, so
+// waiting never delays straggler receipt. It reports whether the wait timed
+// out.
+func (c *cluster) waitMail() (timedOut bool) {
+	c.stats.Waits++
 	if c.idleTimer == nil {
 		c.idleTimer = time.NewTimer(idleWait)
 	} else {
@@ -394,8 +408,28 @@ func (c *cluster) waitMail() {
 	case <-c.mail.notify:
 		c.idleTimer.Stop()
 		if c.drainMail() > 0 {
-			c.idleLoops = 0
+			c.idle = false
 		}
+		return false
 	case <-c.idleTimer.C:
+		c.stats.WaitTimeouts++
+		return true
 	}
+}
+
+// waitStalled parks a cluster whose earliest work, next, lies beyond the
+// optimism horizon. It runs after the cluster published next, and its own
+// previous slot may have been the floor it stalled on, so it re-reads the
+// floor and returns at once when next is now inside the window. Otherwise it
+// sleeps with its stalled flag set until a raised slot (publishProgress) or
+// mail wakes it. The flag is set before the re-read: a publisher stores its
+// slot before it reads the flags, so a rise that this re-read misses rings
+// the mailbox instead.
+func (c *cluster) waitStalled(next Time) {
+	k := c.kernel
+	atomic.StoreInt64(&k.stalled[c.id].n, 1)
+	if next > k.horizon() {
+		c.waitMail()
+	}
+	atomic.StoreInt64(&k.stalled[c.id].n, 0)
 }

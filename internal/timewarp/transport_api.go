@@ -54,17 +54,21 @@ type Transport interface {
 	// data backpressure.
 	postCtrl(dst int, bits uint8)
 	// publish records cluster c's next work time for the optimism window
-	// and the urgency flush trigger, and (multi-process) mirrors it — along
-	// with c's cumulative transit counters — to the other nodes.
+	// and the urgency flush trigger (waking window-stalled clusters when it
+	// rises, see Kernel.publishProgress), and (multi-process) mirrors it —
+	// along with c's cumulative transit counters — to the other nodes.
 	publish(c *cluster, t Time)
 
-	// requestGVT asks the coordinator for a round.
+	// requestGVT asks the coordinator for a round, waking it when the
+	// request is new (Kernel.flagGVT).
 	requestGVT()
 	// ackCut acknowledges that c joined the current cut (wave 1).
 	ackCut(c *cluster)
 	// report files c's wave-2 GVT contribution m.
 	report(c *cluster, m Time)
 	// ackLoad acknowledges that c captured its load-round counters.
+	// Each of the three acks counts through Kernel.acked on the
+	// coordinator's node, so the last one wakes the coordinator.
 	ackLoad(c *cluster)
 	// broadcastCtrl posts one control bit to every other cluster's mailbox
 	// as a wakeup (coordinator only).
@@ -125,20 +129,20 @@ func (t *memTransport) publish(c *cluster, next Time) {
 }
 
 func (t *memTransport) requestGVT() {
-	atomic.CompareAndSwapInt32(&t.k.gvtFlag, 0, 1)
+	t.k.flagGVT()
 }
 
 func (t *memTransport) ackCut(c *cluster) {
-	atomic.AddInt32(&t.k.cutAcks, 1)
+	t.k.acked(atomic.AddInt32(&t.k.cutAcks, 1))
 }
 
 func (t *memTransport) report(c *cluster, m Time) {
 	atomic.StoreInt64(&t.k.reports[c.id].t, m)
-	atomic.AddInt32(&t.k.reportAcks, 1)
+	t.k.acked(atomic.AddInt32(&t.k.reportAcks, 1))
 }
 
 func (t *memTransport) ackLoad(c *cluster) {
-	atomic.AddInt32(&t.k.loadAcks, 1)
+	t.k.acked(atomic.AddInt32(&t.k.loadAcks, 1))
 }
 
 // broadcastCtrl posts one control bit to every other cluster's mailbox as a

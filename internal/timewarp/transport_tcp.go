@@ -931,7 +931,7 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		if err := r.done(); err != nil {
 			return err
 		}
-		atomic.CompareAndSwapInt32(&k.gvtFlag, 0, 1)
+		k.flagGVT()
 		return nil
 	case frameAckCut:
 		a := r.ackCut()
@@ -943,7 +943,7 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		}
 		atomic.StoreInt64(&t.sentMirror[a.cluster][0], a.sent0)
 		atomic.StoreInt64(&t.sentMirror[a.cluster][1], a.sent1)
-		atomic.AddInt32(&k.cutAcks, 1)
+		k.acked(atomic.AddInt32(&k.cutAcks, 1))
 		return nil
 	case frameReport:
 		w := r.report()
@@ -954,7 +954,7 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 			return fmt.Errorf("report for cluster %d", w.cluster)
 		}
 		atomic.StoreInt64(&k.reports[w.cluster].t, w.min)
-		atomic.AddInt32(&k.reportAcks, 1)
+		k.acked(atomic.AddInt32(&k.reportAcks, 1))
 		return nil
 	case frameAckLoad:
 		cid := int(r.i32())
@@ -965,7 +965,7 @@ func (t *TCPTransport) apply(p *tcpPeer, typ uint8, body []byte) error {
 		if err := r.done(); err != nil {
 			return err
 		}
-		atomic.AddInt32(&k.loadAcks, 1)
+		k.acked(atomic.AddInt32(&k.loadAcks, 1))
 		return nil
 	case frameOrder:
 		o := r.order()
@@ -1096,7 +1096,6 @@ func (t *TCPTransport) applyCoord(c wireCoord) {
 	atomic.StoreInt64(&k.loadRound, c.loadRound)
 	if c.gvt > atomic.LoadInt64(&k.gvt) {
 		atomic.StoreInt64(&k.gvt, c.gvt)
-		atomic.StoreInt64(&k.lastGVTNano, time.Now().UnixNano())
 	}
 	done := c.done != 0
 	if done {
@@ -1174,7 +1173,7 @@ func (t *TCPTransport) publish(c *cluster, next Time) {
 
 func (t *TCPTransport) requestGVT() {
 	if t.opt.Node == 0 {
-		atomic.CompareAndSwapInt32(&t.k.gvtFlag, 0, 1)
+		t.k.flagGVT()
 		return
 	}
 	var b []byte
@@ -1196,7 +1195,7 @@ func (t *TCPTransport) ackCut(c *cluster) {
 	if t.opt.Node == 0 {
 		atomic.StoreInt64(&t.sentMirror[c.id][0], a.sent0)
 		atomic.StoreInt64(&t.sentMirror[c.id][1], a.sent1)
-		atomic.AddInt32(&t.k.cutAcks, 1)
+		t.k.acked(atomic.AddInt32(&t.k.cutAcks, 1))
 		return
 	}
 	t.peers[0].enqueue(appendAckCut(nil, a), 0, 0)
@@ -1205,7 +1204,7 @@ func (t *TCPTransport) ackCut(c *cluster) {
 func (t *TCPTransport) report(c *cluster, m Time) {
 	if t.opt.Node == 0 {
 		atomic.StoreInt64(&t.k.reports[c.id].t, m)
-		atomic.AddInt32(&t.k.reportAcks, 1)
+		t.k.acked(atomic.AddInt32(&t.k.reportAcks, 1))
 		return
 	}
 	t.peers[0].enqueue(appendReport(nil, wireReport{cluster: int32(c.id), min: m}), 0, 0)
@@ -1213,7 +1212,7 @@ func (t *TCPTransport) report(c *cluster, m Time) {
 
 func (t *TCPTransport) ackLoad(c *cluster) {
 	if t.opt.Node == 0 {
-		atomic.AddInt32(&t.k.loadAcks, 1)
+		t.k.acked(atomic.AddInt32(&t.k.loadAcks, 1))
 		return
 	}
 	var b []byte
