@@ -26,7 +26,7 @@
 //	parsim -bench s5378 -nodes 4 -node 1/2 -peers 127.0.0.1:9101,127.0.0.1:9102
 //
 // -dynamic works across processes too (gate state is migrated over the
-// wire), because the logic-gate handlers implement timewarp.StateCodec.
+// wire with the gate handlers' state codec).
 //
 // Multi-process exit codes distinguish failure classes for supervisors:
 //

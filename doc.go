@@ -53,16 +53,17 @@
 //     is a pluggable Transport: the in-memory default wires mailboxes
 //     directly, while NewTCPTransport runs one simulation as N OS
 //     processes exchanging length-prefixed binary frames (events, GVT
-//     waves, load reports, routes, and — for handlers implementing
-//     StateCodec — migration state) over a loopback-or-LAN mesh, with
+//     waves, load reports, routes, and migration state encoded by the
+//     handlers' own state codec) over a loopback-or-LAN mesh, with
 //     the two-cut transit invariant held across the sockets. Events carry
 //     an opaque fixed-size wide payload block (two uint64 planes; on the
 //     wire flag-selected and omitted when zero, so payload-free traffic is
 //     byte-identical to the pre-payload format) that the vectored logic
 //     simulator fills with 64 packed scenarios per message. Event queues
 //     use non-boxing heaps, scheduler pushes are deduplicated per LP, and
-//     bundle/event slices — payloads inline — are pooled across rollback
-//     and fossil collection.
+//     each LP keeps its history as three pointer-free logs — input events,
+//     sent events (payloads inline) and the encoded state before each
+//     bundle — that rollback truncates and fossil collection compacts.
 //
 //     Failure semantics of the TCP mesh: connections open with a versioned
 //     hello (magic, wire-protocol version, topology counts, and an FNV-1a

@@ -262,9 +262,10 @@ func (vector) get(b []byte) (circuit.VecValue, error) {
 	return v, nil
 }
 
-// gateState is the mutable, snapshot-able state of one gate LP. hist holds
-// one output-history term per lane and is allocated only for primary-output
-// gates (nil otherwise), so snapshots of interior gates stay small.
+// gateState is the mutable state of one gate LP, the part EncodeState
+// saves. hist holds one output-history term per lane and is allocated only
+// for primary-output gates (nil otherwise), so the saved states of interior
+// gates stay small.
 type gateState[V any] struct {
 	inputs []V
 	out    V
@@ -284,9 +285,6 @@ type gateLP[V any, L lanes[V]] struct {
 	fanout   []int // deduplicated fanout gate IDs
 	delay    int64
 	st       gateState[V]
-	// snapFree pools discarded state snapshots (refilled by the kernel via
-	// RecycleState); each LP runs on one cluster goroutine, so no locking.
-	snapFree []*gateState[V]
 }
 
 func newGateLP[V any, L lanes[V]](sim *shared, g *circuit.Gate, inputIdx, outIdx int) *gateLP[V, L] {
@@ -434,58 +432,15 @@ func (lp *gateLP[V, L]) note(t timewarp.Time, changed uint64) {
 	}
 }
 
-// SaveState implements timewarp.Handler. Snapshots come from the free list
-// the kernel refills via RecycleState, so steady-state snapshotting does not
-// allocate.
-func (lp *gateLP[V, L]) SaveState() interface{} {
-	if n := len(lp.snapFree); n > 0 {
-		s := lp.snapFree[n-1]
-		lp.snapFree[n-1] = nil
-		lp.snapFree = lp.snapFree[:n-1]
-		copy(s.inputs, lp.st.inputs)
-		s.out = lp.st.out
-		s.ff = lp.st.ff
-		copy(s.hist, lp.st.hist)
-		return s
-	}
-	return &gateState[V]{
-		inputs: append([]V(nil), lp.st.inputs...),
-		out:    lp.st.out,
-		ff:     lp.st.ff,
-		hist:   append([]uint64(nil), lp.st.hist...),
-	}
-}
-
-// RestoreState implements timewarp.Handler.
-func (lp *gateLP[V, L]) RestoreState(snap interface{}) {
-	s := snap.(*gateState[V])
-	// The snapshot stays immutable: copy out of it.
-	copy(lp.st.inputs, s.inputs)
-	lp.st.out = s.out
-	lp.st.ff = s.ff
-	copy(lp.st.hist, s.hist)
-}
-
-// RecycleState implements timewarp.StateRecycler: discarded snapshots return
-// to the free list for the next SaveState.
-func (lp *gateLP[V, L]) RecycleState(snap interface{}) {
-	s, ok := snap.(*gateState[V])
-	if !ok || len(lp.snapFree) >= 64 {
-		return
-	}
-	lp.snapFree = append(lp.snapFree, s)
-}
-
-// EncodeState implements timewarp.StateCodec, making gates migratable across
-// a multi-process transport: the mutable simulation state is exactly
-// gateState — the rest of gateLP is immutable tables every replica builds
-// identically from the circuit. Layout, little-endian, with fixed-width
-// values (one byte scalar, val and unknown u64 planes vectored):
+// EncodeState implements timewarp.Handler. The kernel saves it before every
+// bundle, and it carries a gate across a multi-process migration: the
+// mutable simulation state is exactly gateState — the rest of gateLP is
+// immutable tables every replica builds identically from the circuit.
+// Layout, little-endian, with fixed-width values (one byte scalar, val and
+// unknown u64 planes vectored):
 // [npins u8][npins values][out][ff][u64 × lanes, primary outputs only].
-func (lp *gateLP[V, L]) EncodeState(buf []byte) ([]byte, error) {
-	if len(lp.st.inputs) > 255 {
-		return nil, fmt.Errorf("logicsim: gate %d has %d pins, wire limit 255", lp.id, len(lp.st.inputs))
-	}
+// Run refuses gates with more than maxPins pins, so npins fits its byte.
+func (lp *gateLP[V, L]) EncodeState(buf []byte) []byte {
 	var ops L
 	buf = append(buf, byte(len(lp.st.inputs)))
 	for _, v := range lp.st.inputs {
@@ -495,10 +450,10 @@ func (lp *gateLP[V, L]) EncodeState(buf []byte) ([]byte, error) {
 	for _, h := range lp.st.hist {
 		buf = binary.LittleEndian.AppendUint64(buf, h)
 	}
-	return buf, nil
+	return buf
 }
 
-// DecodeState implements timewarp.StateCodec. The payload must match this
+// DecodeState implements timewarp.Handler. The payload must match this
 // gate's pin count and primary-output status exactly, and every value must
 // be one EncodeState can produce.
 func (lp *gateLP[V, L]) DecodeState(data []byte) error {
@@ -589,6 +544,10 @@ func (r *rebalancer) rebalance(s *timewarp.LoadSnapshot) []int {
 	return next.Parts
 }
 
+// maxPins is the most input pins a gate may have: EncodeState stores the pin
+// count in one byte.
+const maxPins = 255
+
 // Run simulates circuit c with partition assignment a on a.K simulation
 // nodes and returns the committed results plus kernel statistics.
 func Run(c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error) {
@@ -597,6 +556,11 @@ func Run(c *circuit.Circuit, a partition.Assignment, cfg Config) (Result, error)
 	}
 	if err := cfg.setDefaults(c); err != nil {
 		return Result{}, err
+	}
+	for _, g := range c.Gates {
+		if len(g.Fanin) > maxPins {
+			return Result{}, fmt.Errorf("logicsim: gate %d has %d pins, state codec limit %d", g.ID, len(g.Fanin), maxPins)
+		}
 	}
 	if cfg.Vectors {
 		return run[circuit.VecValue, vector](c, a, cfg)

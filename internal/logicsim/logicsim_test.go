@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +50,17 @@ func TestRunValidatesInputs(t *testing.T) {
 	}
 	if _, err := Run(c, onePartition(t, c), Config{Cycles: 1, ClockPeriod: 1}); err == nil {
 		t.Error("degenerate clock period accepted")
+	}
+	// The state codec stores a gate's pin count in one byte.
+	wide := circuit.New("wide")
+	in := wide.MustAddGate("in", circuit.Input).ID
+	and := wide.MustAddGate("and", circuit.And).ID
+	for i := 0; i <= maxPins; i++ {
+		wide.MustConnect(in, and)
+	}
+	wide.MustConnect(and, wide.MustAddGate("out", circuit.Output).ID)
+	if _, err := Run(wide, onePartition(t, wide), Config{Cycles: 1, ClockPeriod: 4}); err == nil || !strings.Contains(err.Error(), "pins") {
+		t.Errorf("gate with %d pins: err = %v, want the pin limit", maxPins+1, err)
 	}
 }
 

@@ -52,10 +52,11 @@ func (s *ClusterStats) add(o ClusterStats) {
 }
 
 // schedEntry is a lazily maintained LTSF scheduler entry: the LP claimed to
-// have work at time t when the entry was pushed.
+// have work at time t when the entry was pushed. It names the LP by id, so
+// the heap holds no pointers and its sifts pay no write barriers.
 type schedEntry struct {
 	t  Time
-	lp *lpRuntime
+	lp LPID
 }
 
 // schedHeap is a min-heap over schedEntry, manipulated with the non-boxing
@@ -66,10 +67,11 @@ func (h *schedHeap) push(e schedEntry) { heapPush((*[]schedEntry)(h), e, schedLe
 
 func (h *schedHeap) pop() schedEntry { return heapPop((*[]schedEntry)(h), schedLess) }
 
-// eventPool recycles event slices across bundles, rollbacks and fossil
-// collection, bounding the kernel's per-event GC pressure. Each cluster owns
-// one pool and every LP operation runs on its owning cluster's goroutine
-// (initialization is single-threaded), so no locking is needed.
+// eventPool recycles the two kinds of event slice the kernel allocates apart
+// from the LP logs: the copies of rolled-back sends that lazy cancellation
+// holds in oldSends, and the modeled wire's delayed batches. Each cluster
+// owns one pool and every LP operation runs on its owning cluster's
+// goroutine (initialization is single-threaded), so no locking is needed.
 type eventPool struct {
 	free [][]Event
 	// held is the summed capacity of the slices in free; put refuses a
@@ -77,11 +79,9 @@ type eventPool struct {
 	held, limit int
 }
 
-// eventPoolLimit sizes a cluster's pool to one GVT period. A fossil
-// collection frees about GVTPeriodEvents bundles per cluster, each holding
-// an input slice and a send slice; the pool keeps their capacity, with
-// headroom for fan-out, so the next period's bundles reuse it instead of
-// allocating while the freed slices turn into garbage.
+// eventPoolLimit sizes a cluster's pool to one GVT period of events, with
+// headroom for fan-out: about as many sends as rollbacks can stash, or
+// delayed batches can hold, between two fossil collections.
 func eventPoolLimit(gvtPeriodEvents int) int {
 	return 8 * gvtPeriodEvents
 }
@@ -306,7 +306,7 @@ func (c *cluster) deliver(ev Event) {
 // LP's next work time touches the heap.
 func (c *cluster) schedule(lp *lpRuntime) {
 	if t := lp.nextTime(); t < lp.schedT {
-		c.sched.push(schedEntry{t: t, lp: lp})
+		c.sched.push(schedEntry{t: t, lp: lp.id})
 		lp.schedT = t
 	}
 }
@@ -376,13 +376,13 @@ func (c *cluster) executeOne() (n int, windowStalled bool) {
 	horizon := c.kernel.horizon()
 	for len(c.sched) > 0 {
 		e := c.sched.pop()
-		lp := e.lp
-		if !c.owned[lp.id] {
+		if !c.owned[e.lp] {
 			// The LP migrated away after this entry was pushed; its new
 			// owner schedules it now, and touching it (schedT included)
 			// here would race.
 			continue
 		}
+		lp := c.kernel.lps[e.lp]
 		if e.t == lp.schedT {
 			// This was the LP's tracked entry; it is no longer in the heap.
 			lp.schedT = TimeInfinity
@@ -450,8 +450,8 @@ func (c *cluster) run() {
 		// top is accurate after executeOne). The optimism throttle reads
 		// the floor over these, and senders read individual entries for the
 		// urgency flush trigger; publishing before any idle wait keeps both
-		// fresh. One atomic swap; a raised slot also wakes the clusters
-		// stalled on the window.
+		// fresh. One atomic load while the time is unchanged, else a swap;
+		// a raised slot also wakes the clusters stalled on the window.
 		next := TimeInfinity
 		if len(c.sched) > 0 {
 			next = c.sched[0].t

@@ -3,9 +3,12 @@
 // is the in-process equivalent of the WARPED kernel used by the paper:
 // logical processes (LPs) are grouped into clusters, one goroutine per
 // cluster models one workstation-level simulation process, and clusters
-// exchange timestamped event messages. Each LP keeps input, output and state
-// queues; stragglers trigger rollback with aggressive (or optionally lazy)
-// cancellation via anti-messages.
+// exchange timestamped event messages. Like WARPED's input, output and state
+// queues, each LP keeps its uncommitted history in three flat logs: the
+// input events of every processed bundle, the events it sent, and the state
+// the handler encoded before it (Handler.EncodeState). Stragglers trigger
+// rollback, which restores the saved state and truncates the logs, with
+// aggressive (or optionally lazy) cancellation via anti-messages.
 //
 // Inter-cluster transport is batched: a cluster accumulates remote events in
 // per-destination outboxes and flushes each as one batch into the
@@ -29,11 +32,9 @@
 // in-transit charge is released only when its frame has been decoded into
 // the receiver's mailbox, and the cut waves carry pinned per-color
 // sent/received counters so a cut closes only after every frame under it
-// has landed. Handlers that additionally implement StateCodec can migrate
-// between processes (their state crosses in the same frames); a
-// configuration that enables Rebalance on a multi-process transport without
-// full StateCodec coverage is rejected at New. See transport_api.go for the
-// seam and transport_tcp.go for the mesh.
+// has landed. LPs migrate between processes with their handler's state
+// codec (the encoded state crosses in the same frames). See
+// transport_api.go for the seam and transport_tcp.go for the mesh.
 //
 // Events carry, besides the int32 application value, a fixed-size wide
 // Payload block (two uint64 planes) the kernel never interprets: it is how
@@ -107,10 +108,10 @@ const (
 // other applications are free to use it as 16 opaque bytes. A zero Payload
 // means "no payload": the wire codec omits it entirely (one flag bit selects
 // the wide frame), so scalar-mode traffic stays byte-identical to the
-// pre-payload format. Payloads live inline in events — they are recycled
-// through rollback and fossil collection with the pooled event slices that
-// carry them, and transit accounting is unchanged because the unit in flight
-// is still the event.
+// pre-payload format. Payloads live inline in events — they are logged,
+// rolled back and fossil-collected with the events that carry them, and
+// transit accounting is unchanged because the unit in flight is still the
+// event.
 //
 //kernelvet:wire
 type Payload struct {

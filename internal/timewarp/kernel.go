@@ -215,13 +215,6 @@ func New(cfg Config, handlers []Handler) (*Kernel, error) {
 			k.local = append(k.local, c)
 		}
 	}
-	if k.remote && cfg.Dynamic.Rebalance != nil {
-		for i, h := range handlers {
-			if _, ok := h.(StateCodec); !ok {
-				return nil, fmt.Errorf("%w: handler %d (%T)", ErrNeedStateCodec, i, h)
-			}
-		}
-	}
 	k.lps = make([]*lpRuntime, len(handlers))
 	for i, h := range handlers {
 		if h == nil {
@@ -316,7 +309,14 @@ type paddedCount struct {
 // (cluster.waitStalled): with sequentially consistent atomics, either the
 // sleeper sees the new slot or this call sees its flag, so no wakeup is
 // lost.
+//
+// The run loop publishes after every bundle, and the slot usually holds t
+// already; such a call returns after one load. Nothing rose, so no wakeup is
+// owed and the argument above is unaffected.
 func (k *Kernel) publishProgress(id int, t Time) {
+	if atomic.LoadInt64(&k.published[id].t) == t {
+		return
+	}
 	if atomic.SwapInt64(&k.published[id].t, t) >= t {
 		return
 	}
@@ -387,7 +387,7 @@ func (k *Kernel) Run() (RunStats, error) {
 		if !k.tr.localCluster(lp.cluster.id) {
 			continue
 		}
-		ctx := &Context{lp: lp, cluster: lp.cluster, now: -1, inInit: true}
+		ctx := &Context{lp: lp, now: -1, inInit: true}
 		lp.handler.Init(ctx)
 	}
 	// Initial events must land in LP queues before the clusters start:

@@ -1,17 +1,30 @@
 package timewarp
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
+// decodeWord reads the state of a test handler whose state is one integer,
+// encoded as a little-endian uint64.
+func decodeWord(data []byte) (uint64, error) {
+	if len(data) != 8 {
+		return 0, fmt.Errorf("state of %d bytes, want 8", len(data))
+	}
+	return binary.LittleEndian.Uint64(data), nil
+}
+
 // pingLP bounces a counter event back and forth with a peer until the
-// counter reaches a limit. State is the number of events seen.
+// counter reaches a limit. State is the number of events seen, plus a tag
+// the wire-migration tests set to tell the copies of an LP apart.
 type pingLP struct {
 	peer  LPID
 	limit int32
 	seen  int32
 	delay Time
 	start bool
+	tag   [4]byte
 }
 
 func (p *pingLP) Init(ctx *Context) {
@@ -29,8 +42,18 @@ func (p *pingLP) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (p *pingLP) SaveState() interface{}     { return p.seen }
-func (p *pingLP) RestoreState(s interface{}) { p.seen = s.(int32) }
+func (p *pingLP) EncodeState(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append(buf, p.tag[:]...), uint32(p.seen))
+}
+
+func (p *pingLP) DecodeState(data []byte) error {
+	if len(data) != 8 {
+		return fmt.Errorf("pingLP: state of %d bytes, want 8", len(data))
+	}
+	copy(p.tag[:], data)
+	p.seen = int32(binary.LittleEndian.Uint32(data[4:]))
+	return nil
+}
 
 func TestPingPongTwoClusters(t *testing.T) {
 	a := &pingLP{peer: 1, limit: 200, delay: 3, start: true}
@@ -105,8 +128,15 @@ func (f *fanLP) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (f *fanLP) SaveState() interface{}     { return f.seen }
-func (f *fanLP) RestoreState(s interface{}) { f.seen = s.(int32) }
+func (f *fanLP) EncodeState(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(f.seen))
+}
+
+func (f *fanLP) DecodeState(data []byte) error {
+	v, err := decodeWord(data)
+	f.seen = int32(v)
+	return err
+}
 
 func TestFanOutAcrossClusters(t *testing.T) {
 	const nLeaf = 40
@@ -157,8 +187,15 @@ func (v *stragglerVictim) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (v *stragglerVictim) SaveState() interface{}     { return v.sum }
-func (v *stragglerVictim) RestoreState(s interface{}) { v.sum = s.(int64) }
+func (v *stragglerVictim) EncodeState(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(v.sum))
+}
+
+func (v *stragglerVictim) DecodeState(data []byte) error {
+	w, err := decodeWord(data)
+	v.sum = int64(w)
+	return err
+}
 
 type stragglerSender struct {
 	victim LPID
@@ -182,8 +219,16 @@ func (s *stragglerSender) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (s *stragglerSender) SaveState() interface{}      { return nil }
-func (s *stragglerSender) RestoreState(s2 interface{}) {}
+// stragglerSender's state is its immutable configuration: it encodes to
+// nothing.
+func (s *stragglerSender) EncodeState(buf []byte) []byte { return buf }
+
+func (s *stragglerSender) DecodeState(data []byte) error {
+	if len(data) != 0 {
+		return fmt.Errorf("stragglerSender: state of %d bytes, want 0", len(data))
+	}
+	return nil
+}
 
 func TestRollbacksProduceDeterministicState(t *testing.T) {
 	run := func() (int64, RunStats) {

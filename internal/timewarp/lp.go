@@ -9,52 +9,34 @@ import (
 //
 // Execute receives every event sharing one receive time as a single bundle,
 // already sorted by (sender, ID). It may send events into the strict future
-// (recvTime > now) via the Context. The kernel snapshots state around every
-// bundle, so Execute must confine all mutable simulation state to what
-// SaveState captures. The events slice is owned by the kernel and recycled
-// after the bundle commits, and the Context is reused between bundles:
-// Execute must not retain either beyond the call.
+// (recvTime > now) via the Context. Before every bundle the kernel appends
+// EncodeState's bytes to the LP's state log, and a rollback hands the saved
+// bytes back to DecodeState, so Execute must confine all mutable simulation
+// state to what EncodeState captures. The same codec moves an LP's state
+// between processes when it migrates over a multi-process transport. The
+// events slice is owned by the kernel and reused once the bundle commits or
+// rolls back, and the Context is reused between bundles: Execute must not
+// retain either beyond the call.
 type Handler interface {
 	// Init runs once before the simulation starts; it may send initial
 	// events (including to the LP itself) with any recvTime >= 0.
 	Init(ctx *Context)
 	// Execute processes the bundle of events at virtual time now.
 	Execute(ctx *Context, now Time, events []Event)
-	// SaveState returns an immutable snapshot of the LP state.
-	SaveState() interface{}
-	// RestoreState reinstates a snapshot previously returned by SaveState.
-	RestoreState(s interface{})
-}
-
-// StateRecycler is an optional Handler extension: when implemented, the
-// kernel hands back snapshots it has discarded (committed by fossil
-// collection or undone past by rollback), so handlers can pool them instead
-// of re-allocating one per bundle. A recycled snapshot is never referenced
-// by the kernel again.
-type StateRecycler interface {
-	RecycleState(s interface{})
-}
-
-// StateCodec is an optional Handler extension required for LP migration
-// across a multi-process transport: LP state is handler-owned, so the kernel
-// cannot serialize a migration payload without it. EncodeState appends the
-// handler's current simulation state to buf and returns the extended slice;
-// DecodeState replaces the handler's state with a previously encoded one.
-// The encoding is the handler's own (it only ever decodes what it encoded,
-// on a replica built from the same inputs). Kernels whose configuration
-// enables Rebalance on a transport spanning more than one process refuse to
-// build unless every handler implements this (ErrNeedStateCodec).
-type StateCodec interface {
-	EncodeState(buf []byte) ([]byte, error)
+	// EncodeState appends the LP's current simulation state to buf and
+	// returns the extended slice.
+	EncodeState(buf []byte) []byte
+	// DecodeState replaces the LP's state with one EncodeState produced,
+	// without retaining data. It rejects data EncodeState could not have
+	// produced: a migration payload may arrive corrupt.
 	DecodeState(data []byte) error
 }
 
 // Context is the kernel interface handed to Handler methods.
 type Context struct {
-	lp      *lpRuntime
-	cluster *cluster
-	now     Time
-	inInit  bool
+	lp     *lpRuntime
+	now    Time
+	inInit bool
 }
 
 // Self returns the LP's id.
@@ -92,7 +74,9 @@ func (ctx *Context) SendP(to LPID, recvTime Time, kind, value int32, pay Payload
 		ctx.lp.send(ev)
 		return
 	}
-	ctx.lp.stageSend(ctx.cluster, ev)
+	// Dispatch waits until Execute returns, so lazy cancellation can compare
+	// the bundle's complete regenerated send set.
+	ctx.lp.outLog = append(ctx.lp.outLog, ev)
 }
 
 // lpRuntime is the kernel-side record of one LP. Its mutable state is owned
@@ -105,11 +89,21 @@ type lpRuntime struct {
 
 	pending eventHeap //kernelvet:owner cluster
 	// cancelled holds IDs of positive events annihilated before they were
-	// popped from pending (lazy annihilation).
-	cancelled map[uint64]struct{} //kernelvet:owner cluster
+	// popped from pending (lazy annihilation). nCancelled mirrors its
+	// length, so the hot paths skip the lookup while the set is empty (it
+	// almost always is) without touching the map.
+	cancelled  map[uint64]struct{} //kernelvet:owner cluster
+	nCancelled int                 //kernelvet:owner cluster
 
-	// processed bundles in chronological order.
+	// processed holds the LP's uncommitted history, one bundle per
+	// executed timestamp in chronological order. Each bundle's inputs,
+	// sends and pre-execution state live in three flat logs, at the
+	// offsets the bundle records; the logs hold no pointers, so the GC
+	// never scans them. processed[0] starts every log at offset 0.
 	processed []bundle //kernelvet:owner cluster
+	inLog     []Event  //kernelvet:owner cluster
+	outLog    []Event  //kernelvet:owner cluster
+	states    []byte   //kernelvet:owner cluster
 
 	// lvt is the receive time of the last processed bundle, or -1.
 	lvt Time //kernelvet:owner cluster
@@ -147,12 +141,6 @@ type lpRuntime struct {
 	// oldScratch is the reusable merge buffer of rollback.
 	oldScratch []oldSendEntry //kernelvet:owner cluster
 
-	// stagedSends collects sends of the bundle currently executing.
-	stagedSends []Event //kernelvet:owner cluster
-
-	// recycler is the handler's optional StateRecycler side, resolved once.
-	recycler StateRecycler
-
 	// matchScratch is the reusable matched-flags buffer of lazy dispatch.
 	matchScratch []bool //kernelvet:owner cluster
 
@@ -175,13 +163,12 @@ type lpRuntime struct {
 	ctx Context //kernelvet:owner cluster
 }
 
-// bundle is one processed timestamp: the events consumed, the state before
-// executing them, and the events sent while executing them.
+// bundle is one processed timestamp: where its input events, its sends and
+// its pre-execution state start in the LP's inLog, outLog and states. It
+// ends where the next bundle starts, or at the end of the log (see end).
 type bundle struct {
-	time   Time
-	events []Event
-	state  interface{} // state before execution
-	sent   []Event
+	time           Time
+	in, out, state int32
 }
 
 type oldSendEntry struct {
@@ -190,7 +177,7 @@ type oldSendEntry struct {
 }
 
 func newLPRuntime(id LPID, h Handler, c *cluster) *lpRuntime {
-	lp := &lpRuntime{
+	return &lpRuntime{
 		id:               id,
 		handler:          h,
 		cluster:          c,
@@ -201,8 +188,17 @@ func newLPRuntime(id LPID, h Handler, c *cluster) *lpRuntime {
 		idNext:           uint64(id) << 32,
 		idEnd:            (uint64(id) + 1) << 32,
 	}
-	lp.recycler, _ = h.(StateRecycler)
-	return lp
+}
+
+// end returns the end offsets of processed bundle i in inLog, outLog and
+// states: the next bundle's start offsets, or the logs' lengths for the last
+// bundle.
+func (lp *lpRuntime) end(i int) (in, out, state int) {
+	if i+1 < len(lp.processed) {
+		b := &lp.processed[i+1]
+		return int(b.in), int(b.out), int(b.state)
+	}
+	return len(lp.inLog), len(lp.outLog), len(lp.states)
 }
 
 // nextEventID returns a fresh event ID from the LP's private space.
@@ -223,15 +219,30 @@ func (lp *lpRuntime) nextEventID() uint64 {
 //kernelvet:noalloc
 func (lp *lpRuntime) nextTime() Time {
 	for len(lp.pending) > 0 {
-		top := lp.pending[0]
-		if _, dead := lp.cancelled[top.ID]; dead {
-			delete(lp.cancelled, top.ID)
+		top := &lp.pending[0]
+		if lp.takeCancelled(top.ID) {
 			lp.pending.pop()
 			continue
 		}
 		return top.RecvTime
 	}
 	return TimeInfinity
+}
+
+// takeCancelled reports whether the positive event id was annihilated while
+// pending, and if so forgets it: the caller drops the event.
+//
+//kernelvet:noalloc
+func (lp *lpRuntime) takeCancelled(id uint64) bool {
+	if lp.nCancelled == 0 {
+		return false
+	}
+	if _, dead := lp.cancelled[id]; !dead {
+		return false
+	}
+	delete(lp.cancelled, id)
+	lp.nCancelled = len(lp.cancelled)
+	return true
 }
 
 // enqueue inserts a positive event, rolling back first if the event is a
@@ -251,6 +262,7 @@ func (lp *lpRuntime) annihilate(anti Event) {
 		lp.rollback(anti.RecvTime)
 	}
 	lp.cancelled[anti.ID] = struct{}{}
+	lp.nCancelled = len(lp.cancelled)
 	// If the LP went idle, sends staged for lazily-cancelled regeneration
 	// can never be regenerated; flush them now.
 	lp.flushOldSends(lp.nextTime())
@@ -259,9 +271,9 @@ func (lp *lpRuntime) annihilate(anti Event) {
 // rollback undoes every processed bundle with time >= t: the LP state is
 // restored to just before the earliest such bundle, the bundles' input
 // events return to the pending queue, and their sends are cancelled
-// (immediately under aggressive cancellation, lazily otherwise). Rollback
-// must replay identically on every run, or diverged replicas commit
-// different states.
+// (immediately under aggressive cancellation, lazily otherwise). All three
+// logs are then truncated to that bundle's start. Rollback must replay
+// identically on every run, or diverged replicas commit different states.
 //
 //kernelvet:deterministic
 func (lp *lpRuntime) rollback(t Time) {
@@ -280,14 +292,48 @@ func (lp *lpRuntime) rollback(t Time) {
 	}
 	lp.cluster.stats.Rollbacks++
 	lp.loadRollbacks++
-	lazy := lp.cluster.kernel.cfg.LazyCancellation
+	b0 := lp.processed[idx]
+	inputs := lp.inLog[b0.in:]
+	lp.cluster.stats.EventsRolledBack += uint64(len(inputs))
+	for i := range inputs {
+		lp.pending.push(inputs[i])
+	}
+	if lp.cluster.kernel.cfg.LazyCancellation {
+		lp.stashSends(idx)
+	} else {
+		for _, s := range lp.outLog[b0.out:] {
+			lp.cluster.sendAnti(s)
+		}
+	}
+	_, _, stateEnd := lp.end(idx)
+	if err := lp.handler.DecodeState(lp.states[b0.state:stateEnd]); err != nil {
+		panic(fmt.Sprintf("timewarp: LP %d rejected its own saved state: %v", lp.id, err))
+	}
+	lp.inLog = lp.inLog[:b0.in]
+	lp.outLog = lp.outLog[:b0.out]
+	lp.states = lp.states[:b0.state]
+	lp.processed = lp.processed[:idx]
+	if idx > 0 {
+		lp.lvt = lp.processed[idx-1].time
+	} else {
+		lp.lvt = -1
+	}
+}
+
+// stashSends copies, under lazy cancellation, the sends of every bundle
+// from processed[idx] on into oldSends, where they await regeneration or
+// cancellation; the copies come from the cluster's event pool, since the
+// out log is about to be truncated.
+//
+//kernelvet:deterministic
+func (lp *lpRuntime) stashSends(idx int) {
 	// Every surviving oldSends entry has time > lvt, and every rolled-back
 	// bundle has time <= lvt, so the new entries (appended in chronological
 	// bundle order) sort strictly before the existing ones: stash the
 	// existing tail and re-append it after the loop — a sorted merge with
 	// no comparison sort.
 	stashed := false
-	if lazy && len(lp.oldSends) > 0 {
+	if len(lp.oldSends) > 0 {
 		lp.oldScratch = append(lp.oldScratch[:0], lp.oldSends...)
 		lp.oldSends = lp.oldSends[:0]
 		stashed = true
@@ -295,20 +341,9 @@ func (lp *lpRuntime) rollback(t Time) {
 	pool := &lp.cluster.evPool
 	for i := idx; i < len(lp.processed); i++ {
 		b := &lp.processed[i]
-		lp.cluster.stats.EventsRolledBack += uint64(len(b.events))
-		for _, ev := range b.events {
-			lp.pending.push(ev)
-		}
-		pool.put(b.events)
-		if len(b.sent) > 0 {
-			if lazy {
-				lp.oldSends = append(lp.oldSends, oldSendEntry{time: b.time, sent: b.sent})
-			} else {
-				for _, s := range b.sent {
-					lp.cluster.sendAnti(s)
-				}
-				pool.put(b.sent)
-			}
+		_, out, _ := lp.end(i)
+		if sent := lp.outLog[b.out:out]; len(sent) > 0 {
+			lp.oldSends = append(lp.oldSends, oldSendEntry{time: b.time, sent: append(pool.get(), sent...)})
 		}
 	}
 	if stashed {
@@ -318,23 +353,6 @@ func (lp *lpRuntime) rollback(t Time) {
 			lp.oldScratch[i] = oldSendEntry{}
 		}
 		lp.oldScratch = lp.oldScratch[:0]
-	}
-	lp.handler.RestoreState(lp.processed[idx].state)
-	// Zero the truncated bundles so their state snapshots and recycled
-	// slices are not retained through the backing array; the states are
-	// handed back to a recycling handler (after RestoreState copied out of
-	// processed[idx]'s).
-	for i := idx; i < len(lp.processed); i++ {
-		if lp.recycler != nil {
-			lp.recycler.RecycleState(lp.processed[i].state)
-		}
-		lp.processed[i] = bundle{}
-	}
-	lp.processed = lp.processed[:idx]
-	if idx > 0 {
-		lp.lvt = lp.processed[idx-1].time
-	} else {
-		lp.lvt = -1
 	}
 }
 
@@ -354,42 +372,23 @@ func (lp *lpRuntime) executeNext() int {
 	// them.
 	lp.flushOldSends(t)
 
-	pool := &lp.cluster.evPool
-	events := pool.get()
+	b := bundle{time: t, in: int32(len(lp.inLog)), out: int32(len(lp.outLog)), state: int32(len(lp.states))}
+	// nextTime left a live event on top, so the bundle is never empty.
 	for len(lp.pending) > 0 && lp.pending[0].RecvTime == t {
-		ev := lp.pending.pop()
-		if _, dead := lp.cancelled[ev.ID]; dead {
-			delete(lp.cancelled, ev.ID)
-			continue
+		if ev := lp.pending.pop(); !lp.takeCancelled(ev.ID) {
+			lp.inLog = append(lp.inLog, ev)
 		}
-		events = append(events, ev)
 	}
-	if len(events) == 0 {
-		pool.put(events)
-		return 0
-	}
-
-	state := lp.handler.SaveState()
-	lp.stagedSends = lp.stagedSends[:0]
-	lp.ctx = Context{lp: lp, cluster: lp.cluster, now: t}
+	events := lp.inLog[b.in:]
+	lp.states = lp.handler.EncodeState(lp.states)
+	lp.ctx = Context{lp: lp, now: t}
 	lp.handler.Execute(&lp.ctx, t, events)
+	lp.dispatchSends(t, lp.outLog[b.out:])
 
-	var sent []Event
-	if len(lp.stagedSends) > 0 {
-		sent = append(pool.get(), lp.stagedSends...)
-	}
-	lp.dispatchSends(t, sent)
-
-	lp.processed = append(lp.processed, bundle{time: t, events: events, state: state, sent: sent})
+	lp.processed = append(lp.processed, b)
 	lp.lvt = t
 	lp.cluster.stats.EventsProcessed += uint64(len(events))
 	return len(events)
-}
-
-// stageSend records an in-execution send; dispatch happens after the handler
-// returns so lazy cancellation can compare the complete regenerated set.
-func (lp *lpRuntime) stageSend(c *cluster, ev Event) {
-	lp.stagedSends = append(lp.stagedSends, ev)
 }
 
 // send routes one positive event originated by this LP and records it in the
@@ -560,9 +559,9 @@ func (lp *lpRuntime) minPendingCancel() Time {
 // lies below gvt can never be regenerated (no execution happens below GVT),
 // so their sends are annihilated now — without this, an unregenerable entry
 // would hold the GVT floor at its send times forever and wedge the run.
-// Freed bundles return their event slices to the cluster pool and the
-// processed history is compacted in place, so steady-state fossil
-// collection allocates nothing.
+// The uncommitted tail of each log is copied down to the front and the
+// surviving bundles' offsets are rebased, so steady-state fossil collection
+// allocates nothing.
 //
 //kernelvet:deterministic
 //kernelvet:noalloc
@@ -572,25 +571,21 @@ func (lp *lpRuntime) fossilCollect(gvt Time) uint64 {
 	if idx == 0 {
 		return 0
 	}
-	pool := &lp.cluster.evPool
-	var committed uint64
-	for i := 0; i < idx; i++ {
+	lp.committedThrough = lp.processed[idx-1].time
+	in, out, state := lp.end(idx - 1)
+	lp.inLog = lp.inLog[:copy(lp.inLog, lp.inLog[in:])]
+	lp.outLog = lp.outLog[:copy(lp.outLog, lp.outLog[out:])]
+	lp.states = lp.states[:copy(lp.states, lp.states[state:])]
+	lp.processed = lp.processed[:copy(lp.processed, lp.processed[idx:])]
+	for i := range lp.processed {
 		b := &lp.processed[i]
-		committed += uint64(len(b.events))
-		if b.time > lp.committedThrough {
-			lp.committedThrough = b.time
-		}
-		pool.put(b.events)
-		pool.put(b.sent)
-		if lp.recycler != nil {
-			lp.recycler.RecycleState(b.state)
-		}
+		b.in -= int32(in)
+		b.out -= int32(out)
+		b.state -= int32(state)
 	}
-	n := copy(lp.processed, lp.processed[idx:])
-	for i := n; i < len(lp.processed); i++ {
-		lp.processed[i] = bundle{}
-	}
-	lp.processed = lp.processed[:n]
+	// processed[0] started every log at 0, so in counts the committed
+	// input events.
+	committed := uint64(in)
 	lp.loadCommitted += committed
 	return committed
 }

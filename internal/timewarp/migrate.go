@@ -157,6 +157,12 @@ func (c *cluster) migrateIn(p migPayload) {
 	lp.cluster = c
 	c.owned[lp.id] = true
 	c.lps = append(c.lps, lp)
+	// The source committed the LP at the GVT it had seen, which may lag the
+	// GVT this cluster already collected at. Commit up to the latter now:
+	// a lazy-cancellation entry below it would otherwise hold the GVT floor
+	// at its send times, and this cluster collects again only once GVT
+	// passes them, so the run would wedge.
+	c.stats.EventsCommitted += lp.fossilCollect(c.fossilAt)
 	atomic.AddInt64(&c.kernel.transit[p.color].n, -1) //kernelvet:discharge transit
 	if c.kernel.remote {
 		atomic.AddInt64(&c.recvCum[p.color].n, 1)

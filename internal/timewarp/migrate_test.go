@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -406,6 +407,40 @@ func TestBuildSnapshotMergesDoubleCapture(t *testing.T) {
 	}
 }
 
+// TestAdoptionCommitsBelowCollectedGVT: an LP handed over while it holds a
+// lazy-cancellation entry below the GVT its new home already collected at
+// must have that entry cancelled on adoption. The entry's sends bound GVT
+// (minPendingCancel), so GVT cannot pass them, and the new home collects
+// again only when it does: left in place, the entry would wedge the run.
+func TestAdoptionCommitsBelowCollectedGVT(t *testing.T) {
+	h := []Handler{&pingLP{peer: 1}, &pingLP{peer: 0}}
+	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}, LazyCancellation: true}, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := k.clusters[0], k.clusters[1]
+	lp := k.lps[0]
+	// A rolled-back bundle at time 5 whose send to LP 1 at 6 awaits
+	// regeneration; the LP has nothing else to do.
+	lp.oldSends = append(lp.oldSends, oldSendEntry{time: 5, sent: []Event{
+		{ID: lp.nextEventID(), Sender: 0, Receiver: 1, SendTime: 5, RecvTime: 6},
+	}})
+	// GVT reached 6 and cluster 1 collected there while the payload, whose
+	// earliest work (6) its source folded into redMin, was in flight.
+	b.fossilAt = 6
+	a.migrateOut(migOrder{lp: 0, to: 1})
+	b.checkMigrate()
+	if !b.owned[0] {
+		t.Fatal("payload not adopted")
+	}
+	if len(lp.oldSends) != 0 {
+		t.Fatalf("adopted LP kept %d lazy-cancellation entries below the collected GVT", len(lp.oldSends))
+	}
+	if len(b.localQ) != 1 || !b.localQ[0].Anti || b.localQ[0].RecvTime != 6 {
+		t.Fatalf("local queue = %+v, want the anti-message for the send at 6", b.localQ)
+	}
+}
+
 // relayLP forwards each event one step down a fixed chain.
 type relayLP struct {
 	next  LPID
@@ -434,5 +469,12 @@ func (r *relayLP) Execute(ctx *Context, now Time, events []Event) {
 	}
 }
 
-func (r *relayLP) SaveState() interface{}     { return r.seen }
-func (r *relayLP) RestoreState(s interface{}) { r.seen = s.(int32) }
+func (r *relayLP) EncodeState(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(r.seen))
+}
+
+func (r *relayLP) DecodeState(data []byte) error {
+	v, err := decodeWord(data)
+	r.seen = int32(v)
+	return err
+}

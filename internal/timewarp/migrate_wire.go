@@ -4,20 +4,20 @@ import "fmt"
 
 // Wire migration: moving an LP between OS processes.
 //
-// A live lpRuntime is full of pointers (heap slices, pooled arrays, handler
-// state), so it cannot travel by copy. Instead the source rolls the LP back
-// to its committed horizon first — the optimistic suffix is regenerable by
-// definition, and rollback emits the anti-messages that retract its sends
-// through the ordinary transport — and then encodes what remains: the pending
-// event set, the lazily-annihilated ID set, the load profile, and the handler
-// state via the StateCodec extension. The destination decodes into the
-// lpRuntime shell it built at construction time (every node builds all LPs;
-// non-local ones stay empty), so adoption needs no allocation decisions at
-// decode time.
+// A live lpRuntime is full of pointers (heap slices, pooled send copies,
+// handler state), so it cannot travel by copy. Instead the source rolls the
+// LP back to its committed horizon first — the optimistic suffix is
+// regenerable by definition, and rollback emits the anti-messages that
+// retract its sends through the ordinary transport — and then encodes what
+// remains: the pending event set, the lazily-annihilated ID set, the load
+// profile, and the handler state via Handler.EncodeState. The destination
+// decodes into the lpRuntime shell it built at construction time (every node
+// builds all LPs; non-local ones stay empty), so adoption needs no
+// allocation decisions at decode time.
 //
 // The rollback-first design trades re-execution of the optimistic suffix for
-// a payload with no aliasing hazards and no state-snapshot encoding (only the
-// *current* handler state travels, not the snapshot stack). Migration is a
+// a payload with no aliasing hazards and no history encoding (only the
+// *current* handler state travels, not the state log). Migration is a
 // cold path triggered a handful of times per run; the suffix it discards is
 // exactly the work a straggler could have discarded anyway, so committed
 // results are unaffected.
@@ -40,17 +40,7 @@ func (c *cluster) packPayload(lp *lpRuntime) []byte {
 	// transport and are GVT-covered like any other send of this cluster.
 	lp.flushOldSends(TimeInfinity)
 
-	sc, ok := lp.handler.(StateCodec)
-	if !ok {
-		// New refuses Rebalance on a multi-process transport without full
-		// StateCodec coverage, so this is unreachable; fail loudly if a
-		// transport ever routes a wire migration around that check.
-		panic(fmt.Sprintf("timewarp: LP %d handler (%T) lacks StateCodec for wire migration", lp.id, lp.handler))
-	}
-	state, err := sc.EncodeState(nil)
-	if err != nil {
-		panic(fmt.Sprintf("timewarp: LP %d EncodeState failed: %v", lp.id, err))
-	}
+	state := lp.handler.EncodeState(nil)
 
 	hdr := wireLPHdr{
 		lp:               int32(lp.id),
@@ -117,6 +107,7 @@ func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
 	for i := int32(0); i < hdr.nCancelled; i++ {
 		lp.cancelled[r.u64()] = struct{}{}
 	}
+	lp.nCancelled = len(lp.cancelled)
 	lp.sendDst = lp.sendDst[:0]
 	lp.sendCnt = lp.sendCnt[:0]
 	lp.sendCur = 0
@@ -128,7 +119,7 @@ func (c *cluster) unpackPayload(wire []byte) (*lpRuntime, error) {
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	if err := lp.handler.(StateCodec).DecodeState(state); err != nil {
+	if err := lp.handler.DecodeState(state); err != nil {
 		return nil, fmt.Errorf("timewarp: LP %d DecodeState: %w", hdr.lp, err)
 	}
 	return lp, nil
@@ -143,7 +134,7 @@ func (lp *lpRuntime) resetAfterPack() {
 	for id := range lp.cancelled {
 		delete(lp.cancelled, id)
 	}
-	lp.stagedSends = lp.stagedSends[:0]
+	lp.nCancelled = 0
 	lp.sendDst = lp.sendDst[:0]
 	lp.sendCnt = lp.sendCnt[:0]
 	lp.sendCur = 0

@@ -1,6 +1,7 @@
 package timewarp
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -21,8 +22,14 @@ func (c *chainLP) Execute(ctx *Context, now Time, events []Event) {
 		ctx.Send(ctx.Self(), now+1, 0, 0)
 	}
 }
-func (c *chainLP) SaveState() interface{}     { return c.reached }
-func (c *chainLP) RestoreState(s interface{}) { c.reached = s.(Time) }
+func (c *chainLP) EncodeState(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(c.reached))
+}
+func (c *chainLP) DecodeState(data []byte) error {
+	v, err := decodeWord(data)
+	c.reached = Time(v)
+	return err
+}
 
 // TestOptimismWindowCompletes: a bounded window must still drive the run to
 // completion (the throttle may stall clusters, never deadlock them).

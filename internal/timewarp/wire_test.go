@@ -12,28 +12,6 @@ import (
 	"testing"
 )
 
-// codecLP is a pingLP whose handler state travels by wire: the StateCodec
-// extension logicsim's gateLP implements, in miniature for kernel tests.
-type codecLP struct {
-	pingLP
-	tag [4]byte
-}
-
-func (c *codecLP) EncodeState(buf []byte) ([]byte, error) {
-	buf = append(buf, c.tag[:]...)
-	buf = append(buf, byte(c.seen), byte(c.seen>>8), byte(c.seen>>16), byte(c.seen>>24))
-	return buf, nil
-}
-
-func (c *codecLP) DecodeState(data []byte) error {
-	if len(data) != 8 {
-		return fmt.Errorf("codecLP: state length %d, want 8", len(data))
-	}
-	copy(c.tag[:], data)
-	c.seen = int32(data[4]) | int32(data[5])<<8 | int32(data[6])<<16 | int32(data[7])<<24
-	return nil
-}
-
 // decodeOneFrame runs b through the framing layer and returns the type and
 // body, failing the test on any framing error.
 func decodeOneFrame(t *testing.T, b []byte) (uint8, []byte) {
@@ -423,7 +401,7 @@ func TestWireFrameRejection(t *testing.T) {
 func TestWirePayloadRoundTrip(t *testing.T) {
 	newKernel := func() *Kernel {
 		k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
-			[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
+			[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +409,7 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	}
 	src := newKernel()
 	lp := src.lps[0]
-	h := lp.handler.(*codecLP)
+	h := lp.handler.(*pingLP)
 	h.tag = [4]byte{'w', 'i', 'r', 'e'}
 	h.seen = 1234
 	lp.lvt = 77
@@ -441,19 +419,20 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	lp.pending.push(Event{ID: 5, Sender: 1, Receiver: 0, SendTime: 60, RecvTime: 80, Value: 9})
 	lp.pending.push(Event{ID: 6, Sender: 1, Receiver: 0, SendTime: 61, RecvTime: 90, Anti: true})
 	lp.cancelled[31] = struct{}{}
+	lp.nCancelled = 1
 	lp.sendDst = append(lp.sendDst, 1)
 	lp.sendCnt = append(lp.sendCnt, 12)
 
 	wire := src.clusters[0].packPayload(lp)
 	lp.resetAfterPack()
-	if len(lp.pending) != 0 || len(lp.cancelled) != 0 || lp.lvt != -1 {
-		t.Fatalf("resetAfterPack left state behind: pending=%d cancelled=%d lvt=%d",
-			len(lp.pending), len(lp.cancelled), lp.lvt)
+	if len(lp.pending) != 0 || len(lp.cancelled) != 0 || lp.nCancelled != 0 || lp.lvt != -1 {
+		t.Fatalf("resetAfterPack left state behind: pending=%d cancelled=%d/%d lvt=%d",
+			len(lp.pending), len(lp.cancelled), lp.nCancelled, lp.lvt)
 	}
 
 	// Decode into a separate kernel, as the destination process would.
 	dst := newKernel()
-	dh := dst.lps[0].handler.(*codecLP)
+	dh := dst.lps[0].handler.(*pingLP)
 	got, err := dst.clusters[0].unpackPayload(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -470,8 +449,8 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	if len(got.pending) != 2 || got.nextTime() != 80 {
 		t.Errorf("pending: len=%d next=%d, want 2 events from time 80", len(got.pending), got.nextTime())
 	}
-	if _, ok := got.cancelled[31]; !ok || len(got.cancelled) != 1 {
-		t.Errorf("cancelled set = %v, want {31}", got.cancelled)
+	if _, ok := got.cancelled[31]; !ok || len(got.cancelled) != 1 || got.nCancelled != 1 {
+		t.Errorf("cancelled set = %v (count %d), want {31}", got.cancelled, got.nCancelled)
 	}
 	if len(got.sendDst) != 1 || got.sendDst[0] != 1 || got.sendCnt[0] != 12 {
 		t.Errorf("send rows: dst=%v cnt=%v", got.sendDst, got.sendCnt)
@@ -649,7 +628,7 @@ func FuzzWireEvent(f *testing.F) {
 // error or adopt cleanly — never panic or corrupt an unrelated shell.
 func fuzzPayload(t *testing.T, data []byte) {
 	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
-		[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
+		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +644,7 @@ func fuzzPayload(t *testing.T, data []byte) {
 // FuzzWirePayload fuzzes the migration payload decoder.
 func FuzzWirePayload(f *testing.F) {
 	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
-		[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
+		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -808,7 +787,7 @@ func TestGenerateWireCorpus(t *testing.T) {
 		appendEvent(nil, &Event{ID: 5, Sender: 2, Receiver: 1, SendTime: 3, RecvTime: 11, Pay: Payload{P0: ^uint64(0), P1: 0xA5A5A5A5A5A5A5A5}}))
 
 	k, err := New(Config{NumClusters: 2, ClusterOf: []int{0, 1}},
-		[]Handler{&codecLP{pingLP: pingLP{peer: 1}}, &codecLP{pingLP: pingLP{peer: 0}}})
+		[]Handler{&pingLP{peer: 1}, &pingLP{peer: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
